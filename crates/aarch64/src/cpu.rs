@@ -1,14 +1,11 @@
 //! The CPU interpreter.
 
 use crate::memory::LAYOUT;
-use crate::profile::{FunctionProfile, Profiler};
 use crate::program::LinkError;
 use crate::regs::RegisterFile;
-use crate::trace::TraceEntry;
 use crate::{Cond, CostModel, Fault, Instruction, Memory, Program, Reg};
 use pacstack_pauth::{AuthFailure, PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_telemetry as telemetry;
-use pacstack_telemetry::Ring;
 use std::collections::HashMap;
 
 /// NZCV condition flags.
@@ -198,17 +195,14 @@ pub struct Cpu {
     cycles: u64,
     instructions: u64,
     counters: InsnCounters,
-    /// Memory accesses through the shadow-stack pointer (always counted,
-    /// like `pac_cache_stats`; the cycle surcharge itself is part of
-    /// [`CostModel::cost`]).
+    /// Retired memory accesses through the shadow-stack pointer (always
+    /// counted, like `pac_cache_stats`; the cycle surcharge itself is part
+    /// of [`CostModel::cost`]).
     shadow_accesses: u64,
     output: Vec<u64>,
-    trace: Option<Ring<TraceEntry>>,
-    profiler: Option<Box<Profiler>>,
     /// Watermark of what [`Cpu::publish_telemetry`] has already emitted, so
     /// resumed runs publish deltas exactly once.
     tmark: TelemetryMark,
-    pac_log: Option<Vec<(u64, u64)>>,
     bti: bool,
 }
 
@@ -254,10 +248,7 @@ impl Clone for Cpu {
             counters: self.counters,
             shadow_accesses: self.shadow_accesses,
             output: self.output.clone(),
-            trace: self.trace.clone(),
-            profiler: self.profiler.clone(),
             tmark: self.tmark,
-            pac_log: self.pac_log.clone(),
             bti: self.bti,
         }
     }
@@ -283,10 +274,7 @@ impl Clone for Cpu {
         self.counters = source.counters;
         self.shadow_accesses = source.shadow_accesses;
         self.output.clone_from(&source.output);
-        self.trace.clone_from(&source.trace);
-        self.profiler.clone_from(&source.profiler);
         self.tmark = source.tmark;
-        self.pac_log.clone_from(&source.pac_log);
         self.bti = source.bti;
     }
 }
@@ -371,10 +359,7 @@ impl Cpu {
             counters: InsnCounters::default(),
             shadow_accesses: 0,
             output: Vec::new(),
-            trace: None,
-            profiler: None,
             tmark: TelemetryMark::default(),
-            pac_log: None,
             bti: false,
         })
     }
@@ -478,6 +463,11 @@ impl Cpu {
         self.symbols.get(name).copied()
     }
 
+    /// The symbol table: function name to entry address.
+    pub(crate) fn symbols(&self) -> &HashMap<String, u64> {
+        &self.symbols
+    }
+
     /// Saves the user-visible execution state into kernel-private storage,
     /// as `kernel_entry` does on EL0→EL1 transitions (paper §5.4).
     pub fn save_context(&self) -> Context {
@@ -525,54 +515,10 @@ impl Cpu {
         self.image.get(idx as usize).copied()
     }
 
-    /// Enables execution tracing into a ring buffer of `capacity` entries.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Ring::new(capacity));
-    }
-
-    /// The execution trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Ring<TraceEntry>> {
-        self.trace.as_ref()
-    }
-
-    /// Enables per-function cycle attribution, rooted at the current PC.
-    /// Completed call spans beyond `max_spans` are counted as dropped
-    /// rather than recorded, bounding memory on call-heavy workloads.
-    pub fn enable_profile(&mut self, max_spans: usize) {
-        self.profiler = Some(Box::new(Profiler::new(self.pc, self.cycles, max_spans)));
-    }
-
-    /// Finishes profiling and returns the attribution, or `None` if
-    /// [`Cpu::enable_profile`] was never called. Open frames are closed at
-    /// the current cycle count and addresses resolve via the symbol table.
-    pub fn take_profile(&mut self) -> Option<FunctionProfile> {
-        let profiler = self.profiler.take()?;
-        Some(profiler.finish(self.cycles, &self.symbols))
-    }
-
-    /// Memory accesses made through the shadow-stack pointer so far.
+    /// Memory accesses made through the shadow-stack pointer so far,
+    /// counted at retire (an access that then faults still counts).
     pub fn shadow_accesses(&self) -> u64 {
         self.shadow_accesses
-    }
-
-    /// Starts recording every return-address *signing* event as a
-    /// `(modifier, stripped pointer)` pair — the raw material of the
-    /// paper's §6.1 reuse analysis: two events with equal modifiers but
-    /// different pointers are interchangeable signed pointers.
-    pub fn enable_pac_log(&mut self) {
-        self.pac_log = Some(Vec::new());
-    }
-
-    /// The recorded signing events, if logging is enabled.
-    pub fn pac_log(&self) -> Option<&[(u64, u64)]> {
-        self.pac_log.as_deref()
-    }
-
-    fn log_pac(&mut self, modifier: u64, pointer: u64) {
-        let stripped = self.pa.strip(pointer);
-        if let Some(log) = &mut self.pac_log {
-            log.push((modifier, stripped));
-        }
     }
 
     fn fetch(&self) -> Result<Instruction, Fault> {
@@ -700,58 +646,68 @@ impl Cpu {
         }
     }
 
-    /// Executes one instruction — the interposition point for fault
-    /// injection: a harness can perturb architectural state between any two
-    /// retired instructions.
+    /// Runs until exit, an unhandled syscall, a fault, or retire index
+    /// `stop` — the one per-instruction loop. Observers (trace ring,
+    /// profiler, signing log) ride it through `on_retire`; fault injection
+    /// stops at the retire index it wants, perturbs state, and resumes with
+    /// another call.
     ///
-    /// Returns `Ok(None)` while the program is still running, or
-    /// `Ok(Some(status))` on exit / unhandled syscall.
+    /// The hook sees each instruction after its cycles and counters are
+    /// charged but before it executes: [`Cpu::pc`], the registers and
+    /// memory are what the instruction will execute against, and
+    /// [`Cpu::instructions`] is its retire index plus one.
+    ///
+    /// Returns `Ok(None)` once [`Cpu::instructions`] reaches `stop` (at once
+    /// if it already has), or `Ok(Some(status))` on exit / unhandled
+    /// syscall. Publishes no telemetry; see [`Cpu::publish_telemetry`].
     ///
     /// # Errors
     ///
     /// Propagates any [`Fault`].
-    pub fn step(&mut self) -> Result<Option<RunStatus>, Fault> {
+    pub fn run_until(
+        &mut self,
+        stop: u64,
+        mut on_retire: impl FnMut(&Cpu, Instruction),
+    ) -> Result<Option<RunStatus>, Fault> {
+        while self.instructions < stop {
+            let insn = self.fetch()?;
+            self.retire(insn);
+            on_retire(self, insn);
+            if let Some(status) = self.execute(insn)? {
+                return Ok(Some(status));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Charges a fetched instruction: its [`CostModel::cost`], the retired
+    /// count, its class counter and, for shadow-stack accesses, the
+    /// shadow-access count.
+    fn retire(&mut self, insn: Instruction) {
         use Instruction::*;
-        let insn = self.fetch()?;
         self.cycles += self.cost.cost(&insn);
         self.instructions += 1;
-        {
-            use Instruction::*;
-            if insn.is_pointer_auth() {
-                self.counters.pointer_auth += 1;
-            } else if insn.is_memory() {
-                self.counters.memory += 1;
-            } else if matches!(
-                insn,
-                B(..) | BCond(..) | Cbz(..) | Cbnz(..) | Bl(..) | Blr(..) | Br(..) | Ret
-            ) {
-                self.counters.branches += 1;
-            } else {
-                self.counters.other += 1;
-            }
+        if insn.is_pointer_auth() {
+            self.counters.pointer_auth += 1;
+        } else if insn.is_memory() {
+            self.counters.memory += 1;
+        } else if matches!(
+            insn,
+            B(..) | BCond(..) | Cbz(..) | Cbnz(..) | Bl(..) | Blr(..) | Br(..) | Ret
+        ) {
+            self.counters.branches += 1;
+        } else {
+            self.counters.other += 1;
         }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEntry {
-                pc: self.pc,
-                insn,
-                cycles: self.cycles,
-            });
+        if CostModel::is_shadow_access(&insn) {
+            self.shadow_accesses += 1;
         }
-        if let Some(prof) = &mut self.profiler {
-            // Attribute this instruction's (fully charged) cost to the
-            // frame that issued it, then move the frame stack: calls are
-            // charged to the caller, returns to the returning function.
-            prof.attribute(self.cycles);
-            match insn {
-                Bl(target) => prof.enter(target, self.cycles),
-                Blr(n) => {
-                    let target = self.regs.read(n);
-                    prof.enter(target, self.cycles);
-                }
-                Ret | Retaa | Retab => prof.exit(self.cycles),
-                _ => {}
-            }
-        }
+    }
+
+    /// Executes a retired instruction. Returns `Ok(Some(status))` on exit /
+    /// unhandled syscall.
+    fn execute(&mut self, insn: Instruction) -> Result<Option<RunStatus>, Fault> {
+        use Instruction::*;
         let mut next_pc = self.pc.wrapping_add(4);
 
         match insn {
@@ -781,21 +737,11 @@ impl Cpu {
             CmpImm(n, imm) => self.set_flags_from_cmp(self.regs.read(n), imm as u64),
 
             Ldr(t, n, off) => {
-                // Accesses through the shadow-stack pointer hit a distant
-                // region with worse locality than the hot stack; the cycle
-                // surcharge is part of `CostModel::cost` (charged at fetch,
-                // even if the access then faults), so here we only count.
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 let v = self.mem.read_u64(addr)?;
                 self.regs.write(t, v);
             }
             Str(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 self.mem.write_u64(addr, self.regs.read(t))?;
             }
@@ -806,9 +752,6 @@ impl Cpu {
                 self.regs.write(n, addr.wrapping_add(off as u64));
             }
             LdrPre(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 let v = self.mem.read_u64(addr)?;
                 self.regs.write(t, v);
@@ -820,9 +763,6 @@ impl Cpu {
                 self.regs.write(n, addr);
             }
             StrPost(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n);
                 self.mem.write_u64(addr, self.regs.read(t))?;
                 self.regs.write(n, addr.wrapping_add(off as u64));
@@ -891,9 +831,8 @@ impl Cpu {
                 self.regs.write(d, v);
             }
             Paciasp => {
-                let (value, modifier) = (self.regs.read(Reg::LR), self.regs.read(Reg::Sp));
-                self.log_pac(modifier, value);
-                let signed = self.sign_with(PaKey::Ia, value, modifier);
+                let signed =
+                    self.sign_with(PaKey::Ia, self.regs.read(Reg::LR), self.regs.read(Reg::Sp));
                 self.regs.write(Reg::LR, signed);
             }
             Autiasp => {
@@ -948,14 +887,27 @@ impl Cpu {
     }
 
     /// Runs until exit, an unhandled syscall, a fault, or `budget` retired
-    /// instructions.
+    /// instructions, then publishes telemetry.
     ///
     /// # Errors
     ///
     /// Returns the [`Fault`] that terminated execution, or
     /// [`Fault::Timeout`] if the budget ran out.
     pub fn run(&mut self, budget: u64) -> Result<Outcome, Fault> {
-        let result = self.run_inner(budget);
+        let stop = self.instructions.saturating_add(budget);
+        let result = match self.run_until(stop, |_, _| {}) {
+            Ok(Some(status)) => Ok(Outcome {
+                exit_code: match status {
+                    RunStatus::Exited(code) => code,
+                    RunStatus::Syscall(_) => 0,
+                },
+                status,
+                cycles: self.cycles,
+                instructions: self.instructions,
+            }),
+            Ok(None) => Err(Fault::Timeout),
+            Err(fault) => Err(fault),
+        };
         if telemetry::enabled() {
             if let Err(fault) = &result {
                 telemetry::counter(
@@ -968,28 +920,11 @@ impl Cpu {
         result
     }
 
-    fn run_inner(&mut self, budget: u64) -> Result<Outcome, Fault> {
-        for _ in 0..budget {
-            if let Some(status) = self.step()? {
-                let exit_code = match status {
-                    RunStatus::Exited(code) => code,
-                    RunStatus::Syscall(_) => 0,
-                };
-                return Ok(Outcome {
-                    exit_code,
-                    status,
-                    cycles: self.cycles,
-                    instructions: self.instructions,
-                });
-            }
-        }
-        Err(Fault::Timeout)
-    }
-
     /// Publishes the delta of every monotonic performance counter since the
     /// previous publish into the active telemetry sink. [`Cpu::run`] calls
-    /// this on every exit path; harnesses that drive [`Cpu::step`] directly
-    /// (fault-injection trials) call it at trial end. No-op, with no
+    /// this on every exit path; harnesses that drive [`Cpu::run_until`]
+    /// directly (fault-injection trials, profiled runs) call it when they
+    /// finish. No-op, with no
     /// watermark movement, while telemetry is disabled.
     pub fn publish_telemetry(&mut self) {
         if !telemetry::enabled() {
@@ -1360,6 +1295,24 @@ mod tests {
             vec![Op::Label("spin".into()), Op::Jump("spin".into())],
         );
         assert_eq!(Cpu::with_seed(p, 7).run(1000), Err(Fault::Timeout));
+    }
+
+    #[test]
+    fn run_until_stops_at_the_retire_index() {
+        let mut p = Program::new();
+        p.function_ops(
+            "main",
+            vec![Op::Label("spin".into()), Op::Jump("spin".into())],
+        );
+        let mut cpu = Cpu::with_seed(p, 7);
+        let mut seen = Vec::new();
+        let stopped = cpu.run_until(5, |cpu, _| seen.push(cpu.instructions() - 1));
+        assert_eq!(stopped, Ok(None));
+        assert_eq!(cpu.instructions(), 5);
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+        // Already there: returns at once without retiring anything.
+        assert_eq!(cpu.run_until(5, |_, _| unreachable!()), Ok(None));
+        assert_eq!(cpu.instructions(), 5);
     }
 
     #[test]

@@ -62,6 +62,6 @@ pub use cpu::{Context, Cpu, InsnCounters, Outcome, RunStatus};
 pub use fault::Fault;
 pub use insn::{Cond, Instruction};
 pub use memory::{Memory, Perms, LAYOUT};
-pub use profile::{FunctionProfile, ProfileSpan};
+pub use profile::{FunctionProfile, ProfileSpan, Profiler};
 pub use program::{LinkError, Program};
 pub use regs::Reg;

@@ -1,14 +1,15 @@
 //! Per-function cycle attribution.
 //!
-//! The profiler rides the retire loop: every retired instruction's cycle
-//! cost is attributed to the function on top of a simulated call stack that
-//! is pushed on `bl`/`blr` and popped on `ret`/`retaa`/`retab`. Because it
-//! observes only architectural events in the simulated-cycle domain, its
-//! output is deterministic — a function of the program and seed, never of
-//! host scheduling — and feeds the telemetry exporters directly: collapsed
-//! stacks become flamegraph lines, completed frames become Chrome trace
-//! spans.
+//! The profiler rides the retire hook of [`Cpu::run_until`]: every retired
+//! instruction's cycle cost is attributed to the function on top of a
+//! simulated call stack that is pushed on `bl`/`blr` and popped on
+//! `ret`/`retaa`/`retab`. Because it observes only architectural events in
+//! the simulated-cycle domain, its output is deterministic — a function of
+//! the program and seed, never of host scheduling — and feeds the telemetry
+//! exporters directly: collapsed stacks become flamegraph lines, completed
+//! frames become Chrome trace spans.
 
+use crate::{Cpu, Instruction};
 use std::collections::{BTreeMap, HashMap};
 
 /// A completed function activation, in the simulated-cycle domain.
@@ -49,9 +50,11 @@ struct RawSpan {
     dur: u64,
 }
 
-/// Live profiler state carried by the CPU while profiling is enabled.
-#[derive(Debug, Clone)]
-pub(crate) struct Profiler {
+/// Live profiler state, owned by the caller driving [`Cpu::run_until`]:
+/// call [`Profiler::retire`] from the retire hook, then
+/// [`Profiler::finish`].
+#[derive(Debug)]
+pub struct Profiler {
     frames: Vec<Frame>,
     /// Call stack (as entry addresses, outermost first) → self cycles.
     stacks: BTreeMap<Vec<u64>, u64>,
@@ -65,9 +68,11 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    /// Starts profiling at `root` (the current PC) with `now` cycles
-    /// already on the clock.
-    pub(crate) fn new(root: u64, now: u64, max_spans: usize) -> Self {
+    /// Starts profiling `cpu`, rooted at its current PC and cycle count.
+    /// Completed call spans beyond `max_spans` are counted as dropped
+    /// rather than recorded, bounding memory on call-heavy workloads.
+    pub fn new(cpu: &Cpu, max_spans: usize) -> Self {
+        let (root, now) = (cpu.pc(), cpu.cycles());
         Self {
             frames: vec![Frame {
                 addr: root,
@@ -86,8 +91,22 @@ impl Profiler {
         self.frames.iter().map(|f| f.addr).collect()
     }
 
+    /// The retire hook: attributes the (fully charged) cost of `insn` to
+    /// the frame that issued it, then moves the frame stack — calls are
+    /// charged to the caller, returns to the returning function.
+    pub fn retire(&mut self, cpu: &Cpu, insn: Instruction) {
+        let now = cpu.cycles();
+        self.attribute(now);
+        match insn {
+            Instruction::Bl(target) => self.enter(target, now),
+            Instruction::Blr(n) => self.enter(cpu.reg(n), now),
+            Instruction::Ret | Instruction::Retaa | Instruction::Retab => self.exit(now),
+            _ => {}
+        }
+    }
+
     /// Charges all cycles since the last attribution to the current stack.
-    pub(crate) fn attribute(&mut self, now: u64) {
+    fn attribute(&mut self, now: u64) {
         let delta = now.saturating_sub(self.last_cycles);
         if delta > 0 {
             *self.stacks.entry(self.stack_key()).or_insert(0) += delta;
@@ -96,7 +115,7 @@ impl Profiler {
     }
 
     /// Records entry into the function at `addr`.
-    pub(crate) fn enter(&mut self, addr: u64, now: u64) {
+    fn enter(&mut self, addr: u64, now: u64) {
         self.frames.push(Frame {
             addr,
             entered_at: now,
@@ -104,7 +123,7 @@ impl Profiler {
     }
 
     /// Records a return from the current function.
-    pub(crate) fn exit(&mut self, now: u64) {
+    fn exit(&mut self, now: u64) {
         // The root frame is never popped: a `ret` seen with only the root
         // on the stack belongs to a caller outside the profiled window.
         if self.frames.len() <= 1 {
@@ -127,9 +146,11 @@ impl Profiler {
         }
     }
 
-    /// Attributes the residual tail, closes every open frame, and resolves
-    /// addresses to names via the program's symbol table.
-    pub(crate) fn finish(mut self, now: u64, symbols: &HashMap<String, u64>) -> FunctionProfile {
+    /// Attributes the residual tail, closes every open frame at `cpu`'s
+    /// current cycle count, and resolves addresses to names via its symbol
+    /// table.
+    pub fn finish(mut self, cpu: &Cpu) -> FunctionProfile {
+        let (now, symbols) = (cpu.cycles(), cpu.symbols());
         self.attribute(now);
         while let Some(frame) = self.frames.pop() {
             self.record_span(frame, now);
@@ -189,9 +210,10 @@ impl Profiler {
 mod tests {
     #![allow(clippy::unwrap_used)]
 
+    use super::*;
     use crate::program::Op;
     use crate::Instruction::*;
-    use crate::{Cpu, Program, Reg};
+    use crate::{Program, Reg, RunStatus};
 
     fn call_tree_program() -> Program {
         let mut p = Program::new();
@@ -210,22 +232,29 @@ mod tests {
         p
     }
 
+    /// Runs the call-tree program to exit under a profiler capped at
+    /// `max_spans`, returning the CPU, its exit status and the profile.
+    fn profiled(max_spans: usize) -> (Cpu, RunStatus, FunctionProfile) {
+        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
+        let mut profiler = Profiler::new(&cpu, max_spans);
+        let status = cpu.run_until(10_000, |cpu, insn| profiler.retire(cpu, insn));
+        let Ok(Some(status @ RunStatus::Exited(_))) = status else {
+            panic!("the call-tree program should exit: {status:?}");
+        };
+        let profile = profiler.finish(&cpu);
+        (cpu, status, profile)
+    }
+
     #[test]
     fn self_cycles_partition_total_cycles() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(64);
-        let out = cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (cpu, _, profile) = profiled(64);
         let attributed: u64 = profile.stacks.iter().map(|(_, c)| c).sum();
-        assert_eq!(attributed, out.cycles, "{profile:?}");
+        assert_eq!(attributed, cpu.cycles(), "{profile:?}");
     }
 
     #[test]
     fn stacks_and_spans_name_the_call_tree() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(64);
-        cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (_, _, profile) = profiled(64);
         let stacks: Vec<&str> = profile.stacks.iter().map(|(s, _)| s.as_str()).collect();
         assert!(stacks.contains(&"_start;main;leaf"), "{stacks:?}");
         assert!(stacks.contains(&"_start;main"), "{stacks:?}");
@@ -236,10 +265,7 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops_deterministically() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(1);
-        cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (_, _, profile) = profiled(1);
         assert_eq!(profile.spans.len(), 1);
         // Two leaf returns, one main return, plus the root and main frames
         // closed by finish(): everything past the first span is dropped.
@@ -249,10 +275,13 @@ mod tests {
     #[test]
     fn profiling_is_architecturally_invisible() {
         let mut plain = Cpu::with_seed(call_tree_program(), 7);
-        let mut profiled = Cpu::with_seed(call_tree_program(), 7);
-        profiled.enable_profile(64);
-        let a = plain.run(10_000).unwrap();
-        let b = profiled.run(10_000).unwrap();
-        assert_eq!(a, b);
+        let out = plain.run(10_000).unwrap();
+        let (profiled, status, _) = profiled(64);
+        assert_eq!(out.status, status);
+        assert_eq!(plain.cycles(), profiled.cycles());
+        assert_eq!(plain.instructions(), profiled.instructions());
+        assert_eq!(plain.counters(), profiled.counters());
+        assert_eq!(plain.output(), profiled.output());
+        assert_eq!(plain.save_context(), profiled.save_context());
     }
 }

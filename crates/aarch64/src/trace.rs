@@ -1,12 +1,27 @@
 //! Execution tracing and disassembly — the debugging surface a real
 //! simulator ships with.
 //!
-//! The ring buffer itself now lives in `pacstack_telemetry` as the generic
-//! [`Ring`]; this module keeps the CPU-specific entry type, the
-//! disassembler, and a deprecated `Trace` alias for source compatibility.
+//! A trace is a caller-owned `pacstack_telemetry::Ring<TraceEntry>` filled
+//! from the retire hook of [`Cpu::run_until`]; this module keeps the
+//! CPU-specific entry type and the disassembler.
+//!
+//! # Examples
+//!
+//! ```
+//! use pacstack_aarch64::trace::TraceEntry;
+//! use pacstack_aarch64::{Cpu, Instruction::*, Program, Reg};
+//! use pacstack_telemetry::Ring;
+//!
+//! let mut program = Program::new();
+//! program.function("main", vec![MovImm(Reg::X0, 0), Svc(0)]);
+//! let mut cpu = Cpu::with_seed(program, 0);
+//! let mut trace = Ring::new(2);
+//! cpu.run_until(1_000, |cpu, insn| trace.record(TraceEntry::retired(cpu, insn)))?;
+//! assert_eq!(trace.entries().last().map(|e| e.insn), Some(Svc(0)));
+//! # Ok::<(), pacstack_aarch64::Fault>(())
+//! ```
 
 use crate::{Cpu, Instruction};
-use pacstack_telemetry::Ring;
 use std::fmt;
 
 /// One retired instruction in an execution trace.
@@ -19,8 +34,22 @@ pub struct TraceEntry {
     /// Cumulative cycle count *after* this instruction retired — always
     /// equal to [`Cpu::cycles`](crate::Cpu::cycles) at the retire point,
     /// shadow-stack surcharge included, because the CPU charges the whole
-    /// [`CostModel::cost`](crate::CostModel::cost) before recording.
+    /// [`CostModel::cost`](crate::CostModel::cost) before the retire hook
+    /// runs.
     pub cycles: u64,
+}
+
+impl TraceEntry {
+    /// The entry for `insn` as seen from the retire hook of
+    /// [`Cpu::run_until`]: the PC it was fetched from and the cycle count
+    /// with its cost charged.
+    pub fn retired(cpu: &Cpu, insn: Instruction) -> Self {
+        Self {
+            pc: cpu.pc(),
+            insn,
+            cycles: cpu.cycles(),
+        }
+    }
 }
 
 impl fmt::Display for TraceEntry {
@@ -34,24 +63,6 @@ impl fmt::Display for TraceEntry {
         )
     }
 }
-
-/// A bounded execution trace: keeps the most recent entries.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use pacstack_aarch64::trace::Trace;
-///
-/// let trace = Trace::new(128);
-/// assert_eq!(trace.capacity(), 128);
-/// assert!(trace.entries().is_empty());
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "the ring buffer moved to the telemetry subsystem; use `pacstack_telemetry::Ring<TraceEntry>`"
-)]
-pub type Trace = Ring<TraceEntry>;
 
 /// Disassembles the loaded image around an address: `context` instructions
 /// before and after, with a marker at `addr`.
@@ -78,25 +89,6 @@ mod tests {
     use super::*;
     use crate::Instruction::*;
     use crate::{Program, Reg};
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_trace_alias_still_works() {
-        // The pre-migration API: `Trace::new`, `record`, `entries`,
-        // `dropped` — pinned so downstream users of the alias keep
-        // compiling against the telemetry-backed ring.
-        let mut trace = Trace::new(2);
-        for i in 0..4u64 {
-            trace.record(TraceEntry {
-                pc: i * 4,
-                insn: Nop,
-                cycles: i,
-            });
-        }
-        assert_eq!(trace.entries().len(), 2);
-        assert_eq!(trace.dropped(), 2);
-        assert_eq!(trace.entries()[0].pc, 8);
-    }
 
     #[test]
     fn disassembly_marks_the_focus_instruction() {

@@ -677,22 +677,24 @@ pub fn reuse_opportunities() -> Vec<ReuseRow> {
     let swept = exec::parallel_map(
         &[Scheme::PacRet, Scheme::PacStackNomask, Scheme::PacStack],
         |_, &scheme| {
+            use pacstack_aarch64::{Instruction, Reg, RunStatus};
             let program = pacstack_compiler::lower(&module, scheme);
             let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
-            cpu.enable_pac_log();
-            loop {
-                match cpu.run(BUDGET).expect("clean run").status {
-                    pacstack_aarch64::RunStatus::Exited(_) => break,
-                    _ => continue,
+            // Every return-address signing as a `(modifier, stripped
+            // pointer)` pair. Only pac-ret spills its signed LR; the
+            // PACStack variants keep it in CR (the attack surface the
+            // metric is about).
+            let mut spilled = Vec::new();
+            let status = cpu.run_until(BUDGET, |cpu, insn| {
+                if scheme == Scheme::PacRet && insn == Instruction::Paciasp {
+                    spilled.push((cpu.reg(Reg::Sp), cpu.pa().strip(cpu.reg(Reg::LR))));
                 }
-            }
-            // Only pac-ret spills its signed LR; the PACStack variants keep
-            // it in CR (the attack surface the metric is about).
-            let spilled: Vec<(u64, u64)> = if scheme == Scheme::PacRet {
-                cpu.pac_log().expect("logging enabled").to_vec()
-            } else {
-                Vec::new()
-            };
+            });
+            assert!(
+                matches!(status, Ok(Some(RunStatus::Exited(_)))),
+                "reuse workload did not exit cleanly: {status:?}"
+            );
+            cpu.publish_telemetry();
             let mut groups: HashMap<u64, std::collections::BTreeSet<u64>> = HashMap::new();
             for &(modifier, pointer) in &spilled {
                 groups.entry(modifier).or_default().insert(pointer);

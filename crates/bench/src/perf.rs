@@ -8,7 +8,9 @@
 //! * **`qarma_encrypt`** — raw QARMA-64 throughput. *Before* re-derives the
 //!   key schedule on every call and runs the cell-based reference data path
 //!   (the original cost profile of `Qarma64::recommended` per call); *after*
-//!   encrypts through a prebuilt instance on the packed-nibble SWAR path.
+//!   encrypts through a prebuilt instance via [`Qarma64::encrypt`], which
+//!   takes the SSSE3 path when the host has it and the packed-nibble SWAR
+//!   path otherwise.
 //! * **`pac_compute`** — [`PointerAuth::compute_pac`] throughput. *Before*
 //!   is [`PointerAuth::compute_pac_reference`] (schedule re-derived per MAC);
 //!   *after* uses the per-key cached cipher inside [`PaKeys`].
@@ -104,7 +106,8 @@ fn measure_rate<F: FnMut(u64) -> u64>(batch: u64, target_ms: u128, mut f: F) -> 
 }
 
 /// QARMA-64 throughput: per-call schedule derivation + cell path (the seed's
-/// cost profile) vs a prebuilt schedule on the packed SWAR path.
+/// cost profile) vs a prebuilt schedule through [`Qarma64::encrypt`] (SSSE3
+/// when available, else packed SWAR).
 fn bench_qarma(quick: bool) -> PerfRecord {
     let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
     let cipher = Qarma64::recommended(key);

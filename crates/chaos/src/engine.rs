@@ -1,5 +1,5 @@
-//! The injection engine: prepared targets, single-stepped runs, classified
-//! outcomes.
+//! The injection engine: prepared targets, runs stopped at each injection's
+//! retire index, classified outcomes.
 
 use crate::plan::{FaultKind, InjectionPlan};
 use pacstack_aarch64::kernel::{SignalDelivery, SIGRETURN_SYSCALL};
@@ -188,36 +188,30 @@ pub fn prepare(target: Target, module: &Module, seed: u64) -> Result<PreparedTar
         .ok_or(Fault::NoSuchSymbol)
         .map_err(ChaosError::Reference)?;
 
-    // Reference run on a scratch clone, collecting windows as we go.
+    // Reference run on a scratch clone, collecting windows as we go. It
+    // publishes no telemetry: only the injected trials count.
     let mut cpu = base.clone();
     let mut windows = Vec::new();
     const REFERENCE_CEILING: u64 = 4_000_000;
-    let reference = loop {
-        if cpu.instructions() >= REFERENCE_CEILING {
-            return Err(ChaosError::Reference(Fault::Timeout));
+    let status = cpu.run_until(REFERENCE_CEILING, |cpu, insn| {
+        if is_window(insn) {
+            windows.push(cpu.instructions() - 1);
         }
-        if let Some(insn) = cpu.instruction_at(cpu.pc()) {
-            if is_window(insn) {
-                windows.push(cpu.instructions());
-            }
+    });
+    let reference = match status {
+        Ok(Some(RunStatus::Exited(exit_code))) => Reference {
+            exit_code,
+            output: cpu.output().to_vec(),
+            instructions: cpu.instructions(),
+            windows,
+        },
+        // The clean program must not raise syscalls the engine would have
+        // to interpret; that would make classification ambiguous.
+        Ok(Some(RunStatus::Syscall(_))) => {
+            return Err(ChaosError::Reference(Fault::SigreturnViolation));
         }
-        match cpu.step() {
-            Ok(None) => {}
-            Ok(Some(RunStatus::Exited(exit_code))) => {
-                break Reference {
-                    exit_code,
-                    output: cpu.output().to_vec(),
-                    instructions: cpu.instructions(),
-                    windows,
-                };
-            }
-            // The clean program must not raise syscalls the engine would
-            // have to interpret; that would make classification ambiguous.
-            Ok(Some(RunStatus::Syscall(_))) => {
-                return Err(ChaosError::Reference(Fault::SigreturnViolation));
-            }
-            Err(fault) => return Err(ChaosError::Reference(fault)),
-        }
+        Ok(None) => return Err(ChaosError::Reference(Fault::Timeout)),
+        Err(fault) => return Err(ChaosError::Reference(fault)),
     };
 
     // Budget: generous multiple of the clean run, so only genuine
@@ -364,7 +358,12 @@ impl PreparedTarget {
                 return TrialOutcome::Hang;
             }
 
-            match cpu.step() {
+            // Run to the next injection's retire index (every pending one
+            // lies ahead) or the budget, whichever comes first.
+            let stop = pending
+                .first()
+                .map_or(self.budget, |i| i.at.min(self.budget));
+            match cpu.run_until(stop, |_, _| {}) {
                 Ok(None) => {}
                 Ok(Some(RunStatus::Exited(code))) => {
                     let reference = &self.reference;

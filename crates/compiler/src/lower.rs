@@ -660,6 +660,30 @@ mod tests {
     }
 
     #[test]
+    fn shadow_call_stack_touches_the_shadow_stack_twice_per_activation() {
+        // main calls `mid` three times and `mid` calls the leaf `leafy`:
+        // four non-leaf activations, each one `str lr, [x18], #8` push and
+        // one `ldr lr, [x18, #-8]!` pop. The leaf is not instrumented.
+        let mut m = Module::new();
+        m.push(FuncDef::new(
+            "main",
+            vec![Stmt::Loop(3, vec![Stmt::Call("mid".into())]), Stmt::Return],
+        ));
+        m.push(FuncDef::new(
+            "mid",
+            vec![Stmt::Call("leafy".into()), Stmt::Return],
+        ));
+        m.push(FuncDef::new("leafy", vec![Stmt::Compute(1), Stmt::Return]));
+        let accesses = |scheme| {
+            let mut cpu = Cpu::with_seed(lower(&m, scheme), 42);
+            cpu.run(1_000_000).expect("program must run clean");
+            cpu.shadow_accesses()
+        };
+        assert_eq!(accesses(Scheme::ShadowCallStack), 2 * 4);
+        assert_eq!(accesses(Scheme::Baseline), 0);
+    }
+
+    #[test]
     fn leaf_functions_are_skipped_by_default() {
         let m = rich_module();
         let program = lower(&m, Scheme::PacStack);

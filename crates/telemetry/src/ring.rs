@@ -1,10 +1,10 @@
 //! A bounded, generic most-recent-entries ring buffer.
 //!
-//! Generalises the CPU execution-trace buffer that used to live in
-//! `pacstack_aarch64::trace`: any `Display`-able entry type gets the same
-//! keep-the-tail semantics and the same "... N earlier entries elided ..."
-//! rendering. Entries are stored contiguously so `entries()` can hand out
-//! a plain slice, which keeps the migrated `Trace` API source-compatible.
+//! The CPU execution trace is a `Ring<TraceEntry>` (see
+//! `pacstack_aarch64::trace`), but any `Display`-able entry type gets the
+//! same keep-the-tail semantics and the same "... N earlier entries
+//! elided ..." rendering. Entries are stored contiguously so `entries()`
+//! hands out a plain slice in retire order.
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
 //! Measurement helpers: run a module under each scheme, report overheads.
 
-use pacstack_aarch64::{Cpu, Fault, RunStatus};
+use pacstack_aarch64::{Cpu, Fault, Profiler, RunStatus};
 use pacstack_compiler::{lower, Module, Scheme};
 use pacstack_telemetry as telemetry;
 use pacstack_telemetry::SpanEvent;
@@ -49,8 +49,9 @@ pub fn run_module(module: &Module, scheme: Scheme, budget: u64) -> Measurement {
 /// Collapsed call stacks land as flamegraph entries prefixed with `track`
 /// (`"{track};{stack}"`), completed activations as span events on the
 /// `track` timeline, and the run's architectural counters via
-/// [`Cpu::publish_telemetry`]. With telemetry disabled this is exactly
-/// [`run_module`] plus a dormant profiler: the measurement is identical
+/// [`Cpu::publish_telemetry`]. The profiler attributes every retired
+/// instruction whether or not telemetry is enabled; with it disabled the
+/// profile is discarded and the measurement equals [`run_module`]'s,
 /// because profiling never touches architectural state.
 ///
 /// # Panics
@@ -64,42 +65,39 @@ pub fn run_module_profiled(
 ) -> Measurement {
     let program = lower(module, scheme);
     let mut cpu = Cpu::with_seed(program, 0xACE5);
-    cpu.enable_profile(PROFILE_SPAN_CAP);
-    let out = match cpu.run(budget) {
-        Ok(out) => out,
-        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions"),
+    let mut profiler = Profiler::new(&cpu, PROFILE_SPAN_CAP);
+    let code = match cpu.run_until(budget, |cpu, insn| profiler.retire(cpu, insn)) {
+        Ok(Some(RunStatus::Exited(code))) => code,
+        Ok(Some(RunStatus::Syscall(n))) => panic!("workload raised unexpected syscall {n}"),
+        Ok(None) => panic!("workload exceeded {budget} instructions"),
         Err(fault) => panic!("workload faulted under {scheme}: {fault}"),
     };
-    let code = match out.status {
-        RunStatus::Exited(code) => code,
-        RunStatus::Syscall(n) => panic!("workload raised unexpected syscall {n}"),
-    };
+    cpu.publish_telemetry();
     if telemetry::enabled() {
-        if let Some(profile) = cpu.take_profile() {
-            for (stack, self_cycles) in &profile.stacks {
-                telemetry::stack(&format!("{track};{stack}"), *self_cycles);
-            }
-            for span in &profile.spans {
-                telemetry::span(SpanEvent::new(
-                    track,
-                    span.name.as_str(),
-                    "function",
-                    span.start,
-                    span.dur,
-                ));
-            }
-            if profile.dropped_spans > 0 {
-                telemetry::counter(
-                    "workload_profile_spans_dropped_total",
-                    profile.dropped_spans,
-                );
-            }
+        let profile = profiler.finish(&cpu);
+        for (stack, self_cycles) in &profile.stacks {
+            telemetry::stack(&format!("{track};{stack}"), *self_cycles);
         }
-        telemetry::observe_cycles("workload_run_cycles", out.cycles);
+        for span in &profile.spans {
+            telemetry::span(SpanEvent::new(
+                track,
+                span.name.as_str(),
+                "function",
+                span.start,
+                span.dur,
+            ));
+        }
+        if profile.dropped_spans > 0 {
+            telemetry::counter(
+                "workload_profile_spans_dropped_total",
+                profile.dropped_spans,
+            );
+        }
+        telemetry::observe_cycles("workload_run_cycles", cpu.cycles());
     }
     Measurement {
-        cycles: out.cycles,
-        instructions: out.instructions,
+        cycles: cpu.cycles(),
+        instructions: cpu.instructions(),
         exit_code: code,
     }
 }

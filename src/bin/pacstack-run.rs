@@ -9,8 +9,9 @@
 //! PACStack-instrumented function written by hand.
 
 use pacstack::aarch64::asm::parse_program;
-use pacstack::aarch64::trace::disassemble_around;
-use pacstack::aarch64::{Cpu, RunStatus};
+use pacstack::aarch64::trace::{disassemble_around, TraceEntry};
+use pacstack::aarch64::{Cpu, Fault, RunStatus};
+use pacstack::telemetry::Ring;
 use std::process::ExitCode;
 
 struct Options {
@@ -94,33 +95,34 @@ fn main() -> ExitCode {
     if options.fpac {
         cpu.enable_fpac();
     }
-    if options.trace {
-        cpu.enable_trace(32);
-    }
+    let mut trace = options.trace.then(|| Ring::new(32));
 
     loop {
-        match cpu.run(options.budget) {
-            Ok(out) => match out.status {
-                RunStatus::Exited(code) => {
-                    for value in cpu.output() {
-                        println!("emit: {value:#x}");
-                    }
-                    println!(
-                        "exit: {code:#x} ({} instructions, {} cycles)",
-                        out.instructions, out.cycles
-                    );
-                    return ExitCode::SUCCESS;
+        let stop = cpu.instructions().saturating_add(options.budget);
+        let status = cpu.run_until(stop, |cpu, insn| {
+            if let Some(trace) = &mut trace {
+                trace.record(TraceEntry::retired(cpu, insn));
+            }
+        });
+        match status.and_then(|status| status.ok_or(Fault::Timeout)) {
+            Ok(RunStatus::Exited(code)) => {
+                for value in cpu.output() {
+                    println!("emit: {value:#x}");
                 }
-                RunStatus::Syscall(n) => {
-                    eprintln!("unhandled syscall {n} at pc={:#x}; resuming", cpu.pc());
-                }
-            },
+                println!(
+                    "exit: {code:#x} ({} instructions, {} cycles)",
+                    cpu.instructions(),
+                    cpu.cycles()
+                );
+                return ExitCode::SUCCESS;
+            }
+            Ok(RunStatus::Syscall(n)) => {
+                eprintln!("unhandled syscall {n} at pc={:#x}; resuming", cpu.pc());
+            }
             Err(fault) => {
                 eprintln!("fault: {fault}");
-                if options.trace {
-                    if let Some(trace) = cpu.trace() {
-                        eprintln!("\nlast instructions:\n{trace}");
-                    }
+                if let Some(trace) = &trace {
+                    eprintln!("\nlast instructions:\n{trace}");
                 }
                 eprintln!(
                     "disassembly near pc:\n{}",

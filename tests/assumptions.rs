@@ -1,8 +1,24 @@
 //! The paper's environmental assumptions (A1, A2) and failure-injection
 //! cases, exercised on the simulator.
 
-use pacstack::aarch64::{Cpu, Fault, Reg, RunStatus, LAYOUT};
+use pacstack::aarch64::{Cpu, Fault, Instruction, Reg, RunStatus, LAYOUT};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
+
+/// Runs `cpu` up to (not including) its first `blr` — where the function
+/// pointer sits in a register for an attacker to bend — and returns that
+/// register. A probe run on a clone finds the retire index.
+fn run_to_first_blr(cpu: &mut Cpu) -> Reg {
+    let mut probe = cpu.clone();
+    let mut first = None;
+    let _ = probe.run_until(1000, |probe, insn| {
+        if let (None, Instruction::Blr(reg)) = (first, insn) {
+            first = Some((probe.instructions() - 1, reg));
+        }
+    });
+    let (at, reg) = first.expect("the program makes an indirect call");
+    assert_eq!(cpu.run_until(at, |_, _| {}), Ok(None));
+    reg
+}
 
 #[test]
 fn a1_wx_policy_blocks_code_injection() {
@@ -66,16 +82,9 @@ fn a2_bti_constrains_indirect_branches_to_function_entries() {
     // Patch the CPU's view by running until just before the blr, then
     // bumping the pointer register to a mid-function address.
     let target = cpu.symbol("target").unwrap();
-    loop {
-        // Single-step by running 1 instruction at a time until X9 holds the
-        // target address (the FnAddr mov executed).
-        cpu.run(1).map_err(|f| assert_eq!(f, Fault::Timeout)).ok();
-        if cpu.reg(Reg::X9) == target {
-            break;
-        }
-        assert!(cpu.instructions() < 1000, "never saw the function pointer");
-    }
-    cpu.set_reg(Reg::X9, target + 4); // point into the body
+    let reg = run_to_first_blr(&mut cpu);
+    assert_eq!(cpu.reg(reg), target, "never saw the function pointer");
+    cpu.set_reg(reg, target + 4); // point into the body
     match cpu.run(100_000) {
         Err(Fault::FetchFault { pc }) => assert_eq!(pc, target + 4),
         other => panic!("BTI should have faulted the bent branch: {other:?}"),
@@ -94,14 +103,9 @@ fn without_bti_the_bent_forward_edge_lands() {
     m.push(FuncDef::new("target", vec![Stmt::Compute(4), Stmt::Return]));
     let mut cpu = Cpu::with_seed(lower(&m, Scheme::Baseline), 1);
     let target = cpu.symbol("target").unwrap();
-    loop {
-        cpu.run(1).map_err(|f| assert_eq!(f, Fault::Timeout)).ok();
-        if cpu.reg(Reg::X9) == target {
-            break;
-        }
-        assert!(cpu.instructions() < 1000);
-    }
-    cpu.set_reg(Reg::X9, target + 4);
+    let reg = run_to_first_blr(&mut cpu);
+    assert_eq!(cpu.reg(reg), target);
+    cpu.set_reg(reg, target + 4);
     // Lands mid-function and keeps executing (eventually exits or loops).
     assert!(cpu.run(100_000).is_ok());
 }

@@ -1,10 +1,12 @@
 //! Edge cases and failure injection across crate boundaries.
 
 use pacstack::aarch64::kernel::Scheduler;
-use pacstack::aarch64::{CostModel, Cpu, Instruction, Perms, Program, Reg};
+use pacstack::aarch64::trace::TraceEntry;
+use pacstack::aarch64::{CostModel, Cpu, Instruction, Perms, Program, Reg, RunStatus};
 use pacstack::acs::{AcsConfig, AuthenticatedCallStack};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::pauth::{PaKeys, PointerAuth, VaLayout};
+use pacstack::telemetry::Ring;
 
 fn acs() -> AuthenticatedCallStack {
     AuthenticatedCallStack::new(
@@ -171,12 +173,15 @@ fn trace_captures_the_road_to_a_fault() {
     ));
     m.push(FuncDef::new("noop", vec![Stmt::Compute(1), Stmt::Return]));
     let mut cpu = Cpu::with_seed(lower(&m, Scheme::PacStack), 9);
-    cpu.enable_trace(16);
-    cpu.run(100_000).unwrap();
+    let mut trace = Ring::new(16);
+    let mut record = |cpu: &Cpu, insn| trace.record(TraceEntry::retired(cpu, insn));
+    assert!(matches!(
+        cpu.run_until(100_000, &mut record),
+        Ok(Some(RunStatus::Syscall(42)))
+    ));
     let sp = cpu.reg(Reg::Sp);
     cpu.mem_mut().write_u64(sp, 0xBAD).unwrap(); // chain slot
-    assert!(cpu.run(100_000).is_err());
-    let trace = cpu.trace().unwrap();
+    assert!(cpu.run_until(200_000, &mut record).is_err());
     // The last traced instruction is the one whose result faulted (the
     // return through the corrupted chain).
     let last = trace.entries().last().unwrap();

@@ -15,9 +15,10 @@
 //! The telemetry store is process-global, so every test that enables the
 //! sink or changes the job count serialises on one lock.
 
+use pacstack::aarch64::{Cpu, Fault, Profiler};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::telemetry;
-use pacstack::{aarch64::Cpu, workloads::measure};
+use pacstack::workloads::measure;
 use pacstack_bench::{exec, tracecmd};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -113,21 +114,18 @@ proptest! {
         let program = lower(&module, Scheme::PacStack);
         let run_dark = with_clean_telemetry(1, || {
             let mut cpu = Cpu::with_seed(program.clone(), 7);
-            cpu.run(2_000_000)
+            cpu.run(2_000_000).map(|out| (out.status, out.cycles, out.instructions))
         });
         let run_lit = with_clean_telemetry(1, || {
             telemetry::enable();
             let mut cpu = Cpu::with_seed(program.clone(), 7);
-            cpu.enable_profile(1 << 12);
-            cpu.run(2_000_000)
+            let mut profiler = Profiler::new(&cpu, 1 << 12);
+            let status = cpu.run_until(2_000_000, |cpu, insn| profiler.retire(cpu, insn));
+            cpu.publish_telemetry();
+            status
+                .and_then(|status| status.ok_or(Fault::Timeout))
+                .map(|status| (status, cpu.cycles(), cpu.instructions()))
         });
-        match (run_dark, run_lit) {
-            (Ok(dark), Ok(lit)) => {
-                prop_assert_eq!(dark.cycles, lit.cycles);
-                prop_assert_eq!(dark.instructions, lit.instructions);
-                prop_assert_eq!(dark.status, lit.status);
-            }
-            (dark, lit) => prop_assert_eq!(dark, lit),
-        }
+        prop_assert_eq!(run_dark, run_lit);
     }
 }
