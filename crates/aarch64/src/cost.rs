@@ -53,7 +53,7 @@ impl CostModel {
 
     /// Cycles charged for one instruction. This is the *single* authority
     /// on cycle accounting: the CPU adds exactly this value per retired
-    /// instruction, so execution traces, telemetry and the perf harness all
+    /// instruction, so execution traces, telemetry and the profiler all
     /// read one consistent counter.
     ///
     /// `retaa` combines an authentication and a return and is charged

@@ -187,7 +187,6 @@ pub struct Scheduler {
 
 #[derive(Debug)]
 struct Task {
-    name: String,
     context: Option<crate::Context>,
     exit_code: Option<u64>,
 }
@@ -203,7 +202,6 @@ impl Scheduler {
     pub fn adopt_main(cpu: &Cpu) -> Self {
         Self {
             tasks: vec![Task {
-                name: "main".to_owned(),
                 context: Some(cpu.save_context()),
                 exit_code: None,
             }],
@@ -243,7 +241,6 @@ impl Scheduler {
         cpu.restore_context(&live);
 
         self.tasks.push(Task {
-            name: entry.to_owned(),
             context: Some(context),
             exit_code: None,
         });
@@ -258,11 +255,6 @@ impl Scheduler {
     /// Exit code of a finished task, by spawn order.
     pub fn exit_code(&self, index: usize) -> Option<u64> {
         self.tasks.get(index).and_then(|t| t.exit_code)
-    }
-
-    /// Name of a task.
-    pub fn task_name(&self, index: usize) -> Option<&str> {
-        self.tasks.get(index).map(|t| t.name.as_str())
     }
 
     /// Runs all tasks round-robin, `quantum` instructions at a time, until

@@ -172,11 +172,6 @@ impl Memory {
         });
     }
 
-    /// The pointer layout used for canonicality checks.
-    pub fn va_layout(&self) -> VaLayout {
-        self.layout
-    }
-
     fn check_canonical(&self, addr: u64) -> Result<(), Fault> {
         if self.layout.is_canonical(addr) {
             Ok(())

@@ -171,11 +171,6 @@ impl Program {
         self.functions.iter().any(|f| f.name == name)
     }
 
-    /// Names of all functions, in layout order.
-    pub fn function_names(&self) -> impl Iterator<Item = &str> {
-        self.functions.iter().map(|f| f.name.as_str())
-    }
-
     /// Assembles the program at `code_base`.
     ///
     /// # Errors

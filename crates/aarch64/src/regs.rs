@@ -62,11 +62,6 @@ impl Reg {
     /// ShadowCallStack's shadow-stack pointer.
     pub const SCS: Reg = Reg::X18;
 
-    /// All 31 general-purpose registers (excluding `SP`/`XZR`).
-    pub fn general_purpose() -> impl Iterator<Item = Reg> {
-        (0..31).filter_map(Reg::from_index)
-    }
-
     /// Whether the AAPCS64 calling convention makes this register
     /// callee-saved (`X19`–`X28`, plus `FP`).
     pub fn is_callee_saved(self) -> bool {

@@ -16,16 +16,8 @@
 //! repro reuse      §6.1      interchangeable signed pointers per scheme
 //! repro faults     §3/§6.2   fault-injection coverage matrix + supervisor economics
 //! repro all        everything above
-//! repro perf       before/after PAC fast-path benchmarks (not part of `all`)
 //! repro trace      deterministic telemetry capture + export (not part of `all`)
 //! ```
-//!
-//! `repro perf` accepts `--quick` (a fast smoke variant for CI) and
-//! `--out <file>` (where to write the bench JSON; default `BENCH_pr4.json`).
-//! It re-executes this binary with `PACSTACK_REFERENCE_PAC=1` to time the
-//! pre-optimisation pipeline and byte-compares the two arms' stdout, and
-//! with `PACSTACK_TELEMETRY=1` to verify the telemetry sink is free when
-//! disabled and invisible when enabled.
 //!
 //! `repro trace` enables the telemetry sink, drives a fixed scenario
 //! through every instrumented layer, prints a summary plus the Prometheus
@@ -38,9 +30,11 @@
 //! Any *other* experiment can be captured by setting `PACSTACK_TELEMETRY`
 //! in the environment: `PACSTACK_TELEMETRY=<dir>` enables the sink for the
 //! whole run and writes the same three artifacts to `<dir>` on exit
-//! (`PACSTACK_TELEMETRY=1` enables capture without exporting — used by the
-//! perf harness to price the instrumentation alone). Stdout is unaffected
-//! either way: enabling telemetry never changes results.
+//! (`PACSTACK_TELEMETRY=1` enables capture without exporting). Stdout is
+//! unaffected either way: enabling telemetry never changes results.
+//!
+//! Host-time performance is measured by the separate `perfbench/` package
+//! (see `perfbench/README.md`), not by `repro`.
 //!
 //! Add `--save <dir>` to also write each section to `<dir>/<name>.txt`
 //! (artifact-evaluation style).
@@ -52,7 +46,7 @@
 //! merge in index order. Per-experiment throughput/occupancy statistics go
 //! to stderr, never stdout, so saved tables stay reproducible.
 
-use pacstack_bench::{exec, experiments, perf, render, tracecmd};
+use pacstack_bench::{exec, experiments, render, tracecmd};
 use pacstack_telemetry as telemetry;
 use std::env;
 use std::io::Write as _;
@@ -201,7 +195,7 @@ fn main() -> ExitCode {
             quick = true;
         } else if arg == "--out" {
             let Some(path) = args.next() else {
-                eprintln!("--out needs a file path");
+                eprintln!("--out needs a directory");
                 return ExitCode::FAILURE;
             };
             out = Some(PathBuf::from(path));
@@ -248,13 +242,6 @@ fn main() -> ExitCode {
         "reuse" => run_reuse(&save),
         "faults" => {
             if run_faults(&save).is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        "perf" => {
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr4.json"));
-            if let Err(e) = perf::run(quick, &out) {
-                eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;
             }
         }

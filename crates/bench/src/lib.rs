@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod render;
 pub mod tracecmd;
 

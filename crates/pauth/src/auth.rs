@@ -5,7 +5,6 @@ use pacstack_qarma::{reference, Sigma};
 use pacstack_telemetry as telemetry;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Telemetry counter name for PAC computations under one key register.
 /// Static strings keep the hot path allocation-free when recording.
@@ -17,19 +16,6 @@ fn pac_compute_counter(key: PaKey) -> &'static str {
         PaKey::Db => "pauth_pac_computes_total{key=\"DB\"}",
         PaKey::Ga => "pauth_pac_computes_total{key=\"GA\"}",
     }
-}
-
-/// Whether the process is pinned to the pre-optimisation PAC pipeline: the
-/// cell-based QARMA reference path with the key schedule re-derived per call,
-/// and (honoured separately by the CPU model) no PAC memoisation.
-///
-/// Controlled by setting the `PACSTACK_REFERENCE_PAC` environment variable
-/// before the first PAC computation; read once and latched. This is the
-/// honest "before" arm of the `repro perf` harness — both arms produce
-/// byte-identical experiment output, which the perf harness verifies.
-pub fn reference_pac_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("PACSTACK_REFERENCE_PAC").is_some())
 }
 
 /// How `aut*` reports a verification failure.
@@ -130,18 +116,15 @@ impl PointerAuth {
         if telemetry::enabled() {
             telemetry::counter(pac_compute_counter(key), 1);
         }
-        if reference_pac_forced() {
-            return self.compute_pac_reference(keys, key, pointer, modifier);
-        }
         let canonical = self.layout.canonical(pointer & !self.layout.pac_mask());
         let mac = keys.cipher(key).encrypt(canonical, modifier);
         mac & ((1u64 << self.layout.pac_bits()) - 1)
     }
 
     /// [`PointerAuth::compute_pac`] through the cell-based reference cipher,
-    /// re-deriving the key schedule per call — the pre-optimisation cost
-    /// profile, kept as the differential oracle and the perf harness's
-    /// "before" arm. Always returns the same value as `compute_pac`.
+    /// re-deriving the key schedule per call — kept as the differential
+    /// oracle for the cached-cipher path. Always returns the same value as
+    /// `compute_pac`.
     pub fn compute_pac_reference(
         &self,
         keys: &PaKeys,
@@ -238,10 +221,6 @@ impl PointerAuth {
     pub fn pacga(&self, keys: &PaKeys, x: u64, y: u64) -> u64 {
         if telemetry::enabled() {
             telemetry::counter("pauth_pacga_total", 1);
-        }
-        if reference_pac_forced() {
-            return reference::encrypt(keys.key(PaKey::Ga), Sigma::Sigma1, 7, x, y)
-                & 0xFFFF_FFFF_0000_0000;
         }
         keys.cipher(PaKey::Ga).encrypt(x, y) & 0xFFFF_FFFF_0000_0000
     }
@@ -375,6 +354,16 @@ mod tests {
                     "{key} diverged at i={i}"
                 );
             }
+        }
+        // `pacga` runs the cached GA cipher and keeps the upper 32 bits.
+        for i in 0..32u64 {
+            let (x, y) = (PTR.wrapping_add(i * 40), i.wrapping_mul(0x9E37_79B9));
+            assert_eq!(
+                pa.pacga(&keys, x, y),
+                reference::encrypt(keys.key(PaKey::Ga), Sigma::Sigma1, 7, x, y)
+                    & 0xFFFF_FFFF_0000_0000,
+                "pacga diverged at i={i}"
+            );
         }
     }
 

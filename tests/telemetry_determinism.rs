@@ -19,7 +19,7 @@ use pacstack::aarch64::{Cpu, Fault, Profiler};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::telemetry;
 use pacstack::workloads::measure;
-use pacstack_bench::{exec, tracecmd};
+use pacstack_bench::{exec, experiments, render, tracecmd};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -101,6 +101,24 @@ fn enabled_sink_changes_no_architectural_state() {
         });
         assert_eq!(dark, lit, "telemetry changed a {scheme} run");
     }
+}
+
+#[test]
+fn enabled_sink_leaves_rendered_table1_unchanged() {
+    // Experiment level: a reduced Table 1 (b = 4) renders byte-identically
+    // with the sink off and on, so enabling telemetry never changes stdout.
+    let render_table1 = || render::table1(&experiments::table1(4, 200, 0x71), 4);
+    let dark = with_clean_telemetry(1, render_table1);
+    let lit = with_clean_telemetry(1, || {
+        telemetry::enable();
+        let out = render_table1();
+        assert!(
+            !telemetry::snapshot().counters.is_empty(),
+            "the enabled sink recorded nothing"
+        );
+        out
+    });
+    assert_eq!(dark, lit, "telemetry changed the rendered Table 1");
 }
 
 proptest! {
