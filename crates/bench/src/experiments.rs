@@ -7,8 +7,8 @@ use pacstack_chaos::campaign::{chaos_module, coverage, TargetCoverage};
 use pacstack_chaos::ChaosError;
 use pacstack_compiler::Scheme;
 use pacstack_exec as exec;
-use pacstack_workloads::measure::{geometric_mean_percent, overhead_percent};
-use pacstack_workloads::nginx::{ssl_tps, TpsResult};
+use pacstack_workloads::measure::{geometric_mean_percent, overheads};
+use pacstack_workloads::nginx::{session_cycles, TpsResult};
 use pacstack_workloads::spec::{Suite, CPP_BENCHMARKS, C_BENCHMARKS};
 use pacstack_workloads::supervisor::{online_attack_economics, EconomicsRow};
 
@@ -24,6 +24,27 @@ pub const MEASURED_SCHEMES: [Scheme; 5] = [
     Scheme::PacRet,
     Scheme::StackProtector,
 ];
+
+/// Runs `program`, linked with the experiments' seed, to exit under
+/// [`BUDGET`] instructions and returns the finished CPU.
+///
+/// # Panics
+///
+/// Panics if the program faults, raises a syscall or exceeds the budget,
+/// as [`pacstack_workloads::measure::run_module`] does: the workload
+/// profiles run clean under every scheme.
+fn run_clean(program: pacstack_aarch64::Program) -> pacstack_aarch64::Cpu {
+    let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
+    match cpu.run(BUDGET) {
+        Ok(out) => match out.status {
+            pacstack_aarch64::RunStatus::Exited(_) => cpu,
+            pacstack_aarch64::RunStatus::Syscall(n) => {
+                panic!("workload raised unexpected syscall {n}")
+            }
+        },
+        Err(fault) => panic!("workload faulted: {fault}"),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Table 1 — attack success probabilities
@@ -107,9 +128,10 @@ pub struct Figure5Row {
 }
 
 /// Reproduces Figure 5: per-benchmark overhead of all five instrumentations
-/// for the C benchmarks, in both suite flavours. Benchmark runs fan out
-/// across the [`pacstack_exec`] worker pool; each (suite, benchmark) item
-/// is deterministic, so row order and values are thread-count independent.
+/// for the C benchmarks, in both suite flavours. Each (suite, benchmark)
+/// item simulates its baseline once and each scheme once; items fan out
+/// across the [`pacstack_exec`] worker pool and are deterministic, so row
+/// order and values are thread-count independent.
 pub fn figure5() -> Vec<Figure5Row> {
     let mut items = Vec::new();
     for suite in [Suite::Rate, Suite::Speed] {
@@ -120,8 +142,8 @@ pub fn figure5() -> Vec<Figure5Row> {
     let run = exec::parallel_map(&items, |_, &(suite, profile)| {
         let module = profile.module(suite);
         let overheads = MEASURED_SCHEMES
-            .iter()
-            .map(|&scheme| (scheme, overhead_percent(&module, scheme, BUDGET)))
+            .into_iter()
+            .zip(overheads(&module, &MEASURED_SCHEMES, BUDGET))
             .collect();
         Figure5Row {
             name: profile.name.to_owned(),
@@ -180,11 +202,12 @@ pub fn table2(figure5_rows: &[Figure5Row]) -> Vec<Table2Row> {
 /// The paper's aggregate for the C++ benchmarks: (PACStack %, nomask %).
 pub fn cpp_aggregate() -> (f64, f64) {
     let run = exec::parallel_map(&CPP_BENCHMARKS, |_, p| {
-        let module = p.module(Suite::Rate);
-        (
-            overhead_percent(&module, Scheme::PacStack, BUDGET),
-            overhead_percent(&module, Scheme::PacStackNomask, BUDGET),
-        )
+        let o = overheads(
+            &p.module(Suite::Rate),
+            &[Scheme::PacStack, Scheme::PacStackNomask],
+            BUDGET,
+        );
+        (o[0], o[1])
     });
     exec::stats::record("figure5 C++ aggregate", run.stats);
     let (full, nomask): (Vec<f64>, Vec<f64>) = run.results.into_iter().unzip();
@@ -224,14 +247,23 @@ impl Table3Row {
 }
 
 /// Reproduces Table 3 with `runs` measurement sessions per cell.
+///
+/// The sessions are measured once, in one [`session_cycles`] sweep over
+/// the three configurations, and both worker rows derive from the same
+/// per-session cycles: TPS is linear in workers by construction.
 pub fn table3(runs: usize, seed: u64) -> Vec<Table3Row> {
+    let sessions = session_cycles(
+        &[Scheme::Baseline, Scheme::PacStackNomask, Scheme::PacStack],
+        runs,
+        seed,
+    );
     [4u32, 8]
         .iter()
         .map(|&workers| Table3Row {
             workers,
-            baseline: ssl_tps(Scheme::Baseline, workers, runs, seed),
-            nomask: ssl_tps(Scheme::PacStackNomask, workers, runs, seed),
-            pacstack: ssl_tps(Scheme::PacStack, workers, runs, seed),
+            baseline: TpsResult::from_sessions(workers, &sessions[0]),
+            nomask: TpsResult::from_sessions(workers, &sessions[1]),
+            pacstack: TpsResult::from_sessions(workers, &sessions[2]),
         })
         .collect()
 }
@@ -397,20 +429,10 @@ pub fn ablations() -> Vec<AblationRow> {
         .expect("profile exists")
         .module(Suite::Rate);
     let cycles = |scheme: Scheme, leaves: bool| {
-        let program = lower_with_options(
-            &module,
-            scheme,
-            LowerOptions {
-                instrument_leaves: leaves,
-            },
-        );
-        let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
-        loop {
-            match cpu.run(BUDGET).expect("clean run").status {
-                pacstack_aarch64::RunStatus::Exited(_) => break cpu.cycles(),
-                _ => continue,
-            }
-        }
+        let options = LowerOptions {
+            instrument_leaves: leaves,
+        };
+        run_clean(lower_with_options(&module, scheme, options)).cycles()
     };
     let _ = run_module(&module, Scheme::Baseline, BUDGET); // warm sanity check
     let configs = [
@@ -558,27 +580,20 @@ pub fn instruction_mix() -> Vec<MixRow> {
     let module = c_benchmark("gcc")
         .expect("profile exists")
         .module(Suite::Rate);
-    let run = |scheme: Scheme| {
-        let program = pacstack_compiler::lower(&module, scheme);
-        let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
-        loop {
-            match cpu.run(BUDGET).expect("clean run").status {
-                pacstack_aarch64::RunStatus::Exited(_) => break cpu.counters(),
-                _ => continue,
-            }
-        }
-    };
-    let baseline = run(Scheme::Baseline);
     let swept = exec::parallel_map(&Scheme::ALL, |_, &scheme| {
-        let counters = run(scheme);
-        MixRow {
+        run_clean(pacstack_compiler::lower(&module, scheme)).counters()
+    });
+    exec::stats::record("instruction mix", swept.stats);
+    let baseline = swept.results[0]; // `Scheme::ALL` starts with the baseline
+    Scheme::ALL
+        .into_iter()
+        .zip(swept.results)
+        .map(|(scheme, counters)| MixRow {
             scheme,
             counters,
             added_vs_baseline: counters.total() as i64 - baseline.total() as i64,
-        }
-    });
-    exec::stats::record("instruction mix", swept.stats);
-    swept.results
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

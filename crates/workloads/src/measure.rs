@@ -102,20 +102,39 @@ pub fn run_module_profiled(
     }
 }
 
-/// Percentage overhead of `scheme` over the baseline for `module`.
+/// Percentage overhead of each of `schemes` over the baseline for
+/// `module`, in `schemes` order.
+///
+/// Simulates the baseline once, then each scheme once, so an overhead
+/// sweep costs `schemes.len() + 1` runs rather than two per scheme.
 ///
 /// # Panics
 ///
-/// Panics if the two runs disagree on the exit code (an instrumentation
-/// correctness bug) or if either run faults.
-pub fn overhead_percent(module: &Module, scheme: Scheme, budget: u64) -> f64 {
+/// Panics if a scheme's run disagrees with the baseline on the exit code
+/// (an instrumentation correctness bug) or if any run faults.
+pub fn overheads(module: &Module, schemes: &[Scheme], budget: u64) -> Vec<f64> {
     let base = run_module(module, Scheme::Baseline, budget);
-    let inst = run_module(module, scheme, budget);
-    assert_eq!(
-        base.exit_code, inst.exit_code,
-        "{scheme} changed program behaviour"
-    );
-    (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+    schemes
+        .iter()
+        .map(|&scheme| {
+            let inst = run_module(module, scheme, budget);
+            assert_eq!(
+                base.exit_code, inst.exit_code,
+                "{scheme} changed program behaviour"
+            );
+            (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+        })
+        .collect()
+}
+
+/// Percentage overhead of `scheme` over the baseline for `module`: the
+/// one-scheme case of [`overheads`].
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`overheads`].
+pub fn overhead_percent(module: &Module, scheme: Scheme, budget: u64) -> f64 {
+    overheads(module, &[scheme], budget)[0]
 }
 
 /// Geometric mean of a slice of percentage overheads, computed over the
@@ -157,6 +176,27 @@ mod tests {
         let m = tiny_module();
         assert!(overhead_percent(&m, Scheme::PacStack, 1_000_000) > 0.0);
         assert_eq!(overhead_percent(&m, Scheme::Baseline, 1_000_000), 0.0);
+    }
+
+    #[test]
+    fn batched_overheads_equal_pairwise_runs() {
+        // The oracle is the pairwise schedule: one baseline and one scheme
+        // run per overhead. Compared through `Debug`, so equal means
+        // bit-identical.
+        let m = crate::synth::generate(&crate::synth::SynthConfig::default(), 5);
+        let budget = 100_000_000;
+        let pairwise: Vec<f64> = Scheme::ALL
+            .iter()
+            .map(|&scheme| {
+                let base = run_module(&m, Scheme::Baseline, budget);
+                let inst = run_module(&m, scheme, budget);
+                (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+            })
+            .collect();
+        assert_eq!(
+            format!("{:?}", overheads(&m, &Scheme::ALL, budget)),
+            format!("{pairwise:?}")
+        );
     }
 
     #[test]

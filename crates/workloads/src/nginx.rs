@@ -15,10 +15,10 @@
 
 use crate::measure::run_module;
 use pacstack_compiler::{FuncDef, Module, Scheme, Stmt};
-use pacstack_exec as exec;
+use pacstack_exec::{self as exec, TrialRng};
 use rand::Rng;
 
-/// RNG-stream tag for [`ssl_tps`] measurement sessions. Deliberately
+/// RNG-stream tag for [`session_cycles`] measurement sessions. Deliberately
 /// excludes the scheme: paired comparisons (baseline vs instrumented at
 /// the same seed) must see identical per-run handshake jitter.
 const STREAM_SSL_TPS: u64 = 0x5517_7005_EA51_0005;
@@ -155,41 +155,80 @@ pub struct TpsResult {
     pub runs: usize,
 }
 
-/// Measures SSL TPS for `scheme` with `workers` NGINX workers.
+impl TpsResult {
+    /// TPS of `workers` NGINX workers from the cycles per transaction of
+    /// each measurement session: TPS scales linearly with workers at the
+    /// nominal clock.
+    pub fn from_sessions(workers: u32, cycles_per_txn: &[f64]) -> Self {
+        let samples: Vec<f64> = cycles_per_txn
+            .iter()
+            .map(|c| f64::from(workers) * CLOCK_HZ / c)
+            .collect();
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
+        Self {
+            mean_tps: mean,
+            sigma: var.sqrt(),
+            runs: samples.len(),
+        }
+    }
+}
+
+/// Cycles per transaction of each of `runs` measurement sessions, per
+/// scheme: `result[s][i]` is session `i` under `schemes[s]`.
 ///
-/// Each of `runs` measurement sessions perturbs the handshake round count
-/// ±10% (run-to-run load jitter) and measures cycles per transaction; TPS
-/// scales linearly with workers at the nominal clock. Sessions fan out
-/// across the [`pacstack_exec`] worker pool; each draws its jitter from its
-/// own `(seed, run-index)` stream, so the result is identical at any
-/// thread count.
+/// Session `i` perturbs the handshake round count ±10% (run-to-run load
+/// jitter), drawn from its own `(seed, i)` stream; the stream excludes the
+/// scheme, so every scheme sees the same sessions. The round count takes
+/// only nine values and a session is a deterministic simulation of it, so
+/// each distinct (scheme, rounds) pair is simulated once, fanned out
+/// across the [`pacstack_exec`] worker pool, and sessions with equal
+/// rounds share its result. The result is identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if a run faults (the workload must run clean under every scheme).
+pub fn session_cycles(schemes: &[Scheme], runs: usize, seed: u64) -> Vec<Vec<f64>> {
+    let rounds: Vec<u32> = (0..runs as u64)
+        .map(|i| 36 + TrialRng::new(seed ^ STREAM_SSL_TPS, i).gen_range(0..=8)) // 40 ± 10%
+        .collect();
+    let mut distinct = rounds.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let cells: Vec<(Scheme, u32)> = schemes
+        .iter()
+        .flat_map(|&scheme| distinct.iter().map(move |&r| (scheme, r)))
+        .collect();
+    let run = exec::parallel_map(&cells, |_, &(scheme, rounds)| {
+        let m = run_module(&server_module(rounds), scheme, 1_000_000_000);
+        m.cycles as f64 / f64::from(TRANSACTIONS)
+    });
+    exec::stats::record("ssl-tps session sweep", run.stats);
+    (0..schemes.len())
+        .map(|s| {
+            rounds
+                .iter()
+                .map(|r| run.results[s * distinct.len() + distinct.partition_point(|d| d < r)])
+                .collect()
+        })
+        .collect()
+}
+
+/// Measures SSL TPS for `scheme` with `workers` NGINX workers over `runs`
+/// measurement sessions: the one-scheme case of [`session_cycles`],
+/// summarised by [`TpsResult::from_sessions`].
 ///
 /// # Panics
 ///
 /// Panics if a run faults (the workload must run clean under every scheme).
 pub fn ssl_tps(scheme: Scheme, workers: u32, runs: usize, seed: u64) -> TpsResult {
-    let run = exec::run_trials(seed ^ STREAM_SSL_TPS, runs as u64, |_, rng| {
-        let rounds = 36 + rng.gen_range(0..=8); // 40 ± 10%
-        let module = server_module(rounds);
-        let m = run_module(&module, scheme, 1_000_000_000);
-        let cycles_per_txn = m.cycles as f64 / f64::from(TRANSACTIONS);
-        f64::from(workers) * CLOCK_HZ / cycles_per_txn
-    });
-    exec::stats::record(format!("ssl-tps {scheme} workers={workers}"), run.stats);
-    let samples = run.results;
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-    TpsResult {
-        mean_tps: mean,
-        sigma: var.sqrt(),
-        runs,
-    }
+    TpsResult::from_sessions(workers, &session_cycles(&[scheme], runs, seed)[0])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::overhead_percent;
+    use crate::measure::{overhead_percent, overheads, run_module};
 
     #[test]
     fn handshake_dominates_and_is_call_heavy() {
@@ -204,8 +243,12 @@ mod tests {
     #[test]
     fn nomask_costs_less_than_full() {
         let module = server_module(40);
-        let nomask = overhead_percent(&module, Scheme::PacStackNomask, 1_000_000_000);
-        let full = overhead_percent(&module, Scheme::PacStack, 1_000_000_000);
+        let o = overheads(
+            &module,
+            &[Scheme::PacStackNomask, Scheme::PacStack],
+            1_000_000_000,
+        );
+        let (nomask, full) = (o[0], o[1]);
         assert!(nomask < full);
         assert!(nomask > 2.0, "nomask overhead only {nomask}%");
     }
@@ -232,5 +275,43 @@ mod tests {
         let result = ssl_tps(Scheme::Baseline, 4, 8, 3);
         assert!(result.sigma > 0.0);
         assert!(result.sigma < result.mean_tps * 0.1, "σ implausibly large");
+    }
+
+    #[test]
+    fn batched_sessions_equal_one_simulation_per_session() {
+        // The oracle is the one-simulation-per-session schedule: every
+        // session draws its rounds from its own stream and runs its own
+        // module. Compared through `Debug`, so equal means bit-identical.
+        let schemes = [Scheme::Baseline, Scheme::PacStack];
+        for seed in [3, 42] {
+            let sessions = session_cycles(&schemes, 3, seed);
+            for (s, &scheme) in schemes.iter().enumerate() {
+                for workers in [4, 8] {
+                    let samples: Vec<f64> = (0..3)
+                        .map(|i| {
+                            let mut rng = TrialRng::new(seed ^ STREAM_SSL_TPS, i);
+                            let rounds = 36 + rng.gen_range(0..=8);
+                            let m = run_module(&server_module(rounds), scheme, 1_000_000_000);
+                            let cycles_per_txn = m.cycles as f64 / f64::from(TRANSACTIONS);
+                            f64::from(workers) * CLOCK_HZ / cycles_per_txn
+                        })
+                        .collect();
+                    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+                    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>()
+                        / samples.len() as f64;
+                    let oracle = TpsResult {
+                        mean_tps: mean,
+                        sigma: var.sqrt(),
+                        runs: 3,
+                    };
+                    let batched = TpsResult::from_sessions(workers, &sessions[s]);
+                    assert_eq!(format!("{batched:?}"), format!("{oracle:?}"), "{scheme}");
+                    if workers == 4 {
+                        let single = ssl_tps(scheme, workers, 3, seed);
+                        assert_eq!(format!("{single:?}"), format!("{oracle:?}"), "{scheme}");
+                    }
+                }
+            }
+        }
     }
 }

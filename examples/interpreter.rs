@@ -12,7 +12,7 @@
 //! ```
 
 use pacstack::compiler::{FuncDef, Module, Scheme, Stmt};
-use pacstack::workloads::measure::{overhead_percent, run_module};
+use pacstack::workloads::measure::{overheads, run_module};
 
 /// Builds the interpreter: `run_loop` dispatches on the accumulator's
 /// low bit between two handler families, each of which calls helpers.
@@ -75,8 +75,10 @@ fn main() {
     );
 
     println!("{:<28} {:>10}", "scheme", "overhead");
-    for scheme in Scheme::ALL {
-        let o = overhead_percent(&module, scheme, 100_000_000);
+    for (scheme, o) in Scheme::ALL
+        .into_iter()
+        .zip(overheads(&module, &Scheme::ALL, 100_000_000))
+    {
         println!("{:<28} {:>9.2}%", scheme.to_string(), o);
     }
 

@@ -5,7 +5,7 @@
 //! ```
 
 use pacstack::compiler::Scheme;
-use pacstack::workloads::nginx::ssl_tps;
+use pacstack::workloads::nginx::{session_cycles, TpsResult};
 
 fn main() {
     println!("NGINX SSL transactions-per-second model (paper Table 3)");
@@ -14,14 +14,17 @@ fn main() {
         "{:>8} {:<18} {:>14} {:>10} {:>8}",
         "workers", "configuration", "req/sec", "σ", "loss"
     );
+    let configurations = [
+        ("baseline", Scheme::Baseline),
+        ("PACStack-nomask", Scheme::PacStackNomask),
+        ("PACStack", Scheme::PacStack),
+    ];
+    // Each session is simulated once; both worker counts reuse its cycles.
+    let sessions = session_cycles(&configurations.map(|(_, scheme)| scheme), 10, 42);
     for workers in [4u32, 8] {
-        let baseline = ssl_tps(Scheme::Baseline, workers, 10, 42);
-        for (label, scheme) in [
-            ("baseline", Scheme::Baseline),
-            ("PACStack-nomask", Scheme::PacStackNomask),
-            ("PACStack", Scheme::PacStack),
-        ] {
-            let result = ssl_tps(scheme, workers, 10, 42);
+        let baseline = TpsResult::from_sessions(workers, &sessions[0]);
+        for ((label, _), cycles) in configurations.iter().zip(&sessions) {
+            let result = TpsResult::from_sessions(workers, cycles);
             let loss = (1.0 - result.mean_tps / baseline.mean_tps) * 100.0;
             println!(
                 "{:>8} {:<18} {:>14.0} {:>10.0} {:>7.1}%",

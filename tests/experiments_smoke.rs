@@ -60,6 +60,21 @@ fn table3_shape() {
     for row in &rows {
         assert!(row.pacstack_loss() > row.nomask_loss());
     }
+    // Both rows come from the same sessions, and TPS is linear in workers,
+    // so the 8-worker row is exactly twice the 4-worker row.
+    let (four, eight) = (&rows[0], &rows[1]);
+    assert_eq!((four.workers, eight.workers), (4, 8));
+    for (a, b) in [
+        (&four.baseline, &eight.baseline),
+        (&four.nomask, &eight.nomask),
+        (&four.pacstack, &eight.pacstack),
+    ] {
+        assert_eq!(
+            format!("{:?}", 2.0 * a.mean_tps),
+            format!("{:?}", b.mean_tps)
+        );
+        assert_eq!(format!("{:?}", 2.0 * a.sigma), format!("{:?}", b.sigma));
+    }
 }
 
 #[test]
