@@ -111,8 +111,7 @@ pub struct Outcome {
 /// `epoch` tags the entry with the value of [`Cpu`]'s key epoch at fill time;
 /// `0` never matches a live epoch, so zeroed slots are empty. The epoch (not
 /// the key material) is what invalidates the whole cache on `set_keys` /
-/// `corrupt_keys` in O(1), including the case where the new `PaKeys` happens
-/// to carry the same generation counter as the old one.
+/// `corrupt_keys` in O(1); `PaKeys` itself keeps no record of key writes.
 #[derive(Debug, Clone, Copy, Default)]
 struct PacSlot {
     epoch: u64,
@@ -136,16 +135,6 @@ fn pac_slot_index(key_tag: u8, pointer: u64, modifier: u64) -> usize {
     let mixed =
         (pointer ^ modifier.rotate_left(32) ^ key_tag as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (mixed >> 56) as usize
-}
-
-fn pac_key_tag(key: PaKey) -> u8 {
-    match key {
-        PaKey::Ia => 0,
-        PaKey::Ib => 1,
-        PaKey::Da => 2,
-        PaKey::Db => 3,
-        PaKey::Ga => 4,
-    }
 }
 
 /// A return-address overwrite faulting under `retaa` (pac-ret):
@@ -563,7 +552,7 @@ impl Cpu {
             return self.pa.compute_pac(&self.keys, key, pointer, modifier);
         }
         let canonical = self.pa.strip(pointer);
-        let tag = pac_key_tag(key);
+        let tag = key.index() as u8;
         let idx = pac_slot_index(tag, canonical, modifier);
         let slot = &self.pac_cache[idx];
         if slot.epoch == self.key_epoch
@@ -1174,14 +1163,14 @@ mod tests {
     #[test]
     fn rekeying_also_invalidates_the_pac_memo() {
         // set_keys (legitimate re-key) must invalidate like corrupt_keys
-        // does — even when the replacement PaKeys carries the same
-        // generation counter as the old instance.
+        // does — through the key epoch, since a fresh PaKeys carries no
+        // record of the write.
         let mut p = Program::new();
         p.function("main", vec![Paciasp, Svc(40), Retaa]);
         let mut cpu = Cpu::with_seed(p, 7);
         let out = cpu.run(100).unwrap();
         assert_eq!(out.status, RunStatus::Syscall(40));
-        cpu.set_keys(PaKeys::from_seed(999)); // same generation (0) as before
+        cpu.set_keys(PaKeys::from_seed(999));
         assert!(!cpu.keys_tainted());
         // Not a KeyFault (no taint), but it must *fail* — success would mean
         // the memo replayed a MAC from the previous key epoch.

@@ -1,6 +1,7 @@
-//! ACS configuration: masking variant, signing key and chain seed.
+//! ACS configuration: masking variant and chain seed. The chain is always
+//! signed with instruction key A, as the compiled code's `pacia`/`autia`
+//! are.
 
-use pacstack_pauth::PaKey;
 use std::fmt;
 
 /// Whether stored authentication tokens are masked (full PACStack) or stored
@@ -44,16 +45,14 @@ impl fmt::Display for Masking {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcsConfig {
     masking: Masking,
-    key: PaKey,
     init: u64,
 }
 
 impl AcsConfig {
-    /// The paper's default: masked tokens, instruction key A, zero seed.
+    /// The paper's default: masked tokens, zero seed.
     pub fn new() -> Self {
         Self {
             masking: Masking::Masked,
-            key: PaKey::Ia,
             init: 0,
         }
     }
@@ -61,12 +60,6 @@ impl AcsConfig {
     /// Selects the masking variant.
     pub fn masking(mut self, masking: Masking) -> Self {
         self.masking = masking;
-        self
-    }
-
-    /// Selects which PA key signs the chain (PACStack uses instruction key A).
-    pub fn signing_key(mut self, key: PaKey) -> Self {
-        self.key = key;
         self
     }
 
@@ -83,11 +76,6 @@ impl AcsConfig {
     /// The configured masking variant.
     pub fn masking_mode(&self) -> Masking {
         self.masking
-    }
-
-    /// The configured signing key.
-    pub fn key(&self) -> PaKey {
-        self.key
     }
 
     /// The configured initial chain value.
@@ -110,18 +98,13 @@ mod tests {
     fn default_is_masked_ia_zero_seed() {
         let cfg = AcsConfig::default();
         assert_eq!(cfg.masking_mode(), Masking::Masked);
-        assert_eq!(cfg.key(), PaKey::Ia);
         assert_eq!(cfg.initial_chain(), 0);
     }
 
     #[test]
     fn builder_sets_fields() {
-        let cfg = AcsConfig::new()
-            .masking(Masking::Unmasked)
-            .signing_key(PaKey::Ib)
-            .seed(77);
+        let cfg = AcsConfig::new().masking(Masking::Unmasked).seed(77);
         assert_eq!(cfg.masking_mode(), Masking::Unmasked);
-        assert_eq!(cfg.key(), PaKey::Ib);
         assert_eq!(cfg.initial_chain(), 77);
     }
 

@@ -1,8 +1,12 @@
 //! The ACS state machine: chained signing on call, verification on return.
 
 use crate::{AcsConfig, AcsViolation, JmpBuf, Masking};
-use pacstack_pauth::{PaKeys, PointerAuth};
+use pacstack_pauth::{PaKey, PaKeys, PointerAuth};
 use pacstack_telemetry as telemetry;
+
+/// The key that signs the chain: instruction key A, as the compiled code's
+/// `paciasp`/`pacia`/`autia`/`retaa` use.
+const KEY: PaKey = PaKey::Ia;
 
 /// One activation frame as it appears in attacker-visible stack memory.
 ///
@@ -109,7 +113,7 @@ impl AuthenticatedCallStack {
     /// or zero when masking is off.
     fn mask_for(&self, modifier: u64) -> u64 {
         match self.config.masking_mode() {
-            Masking::Masked => self.pa.pac(&self.keys, self.config.key(), 0, modifier),
+            Masking::Masked => self.pa.pac(&self.keys, KEY, 0, modifier),
             Masking::Unmasked => 0,
         }
     }
@@ -120,7 +124,7 @@ impl AuthenticatedCallStack {
     /// Exposed so attack simulations can enumerate legitimately observable
     /// tokens without driving a full call sequence.
     pub fn aret(&self, ret: u64, prev: u64) -> u64 {
-        let signed = self.pa.pac(&self.keys, self.config.key(), ret, prev);
+        let signed = self.pa.pac(&self.keys, KEY, ret, prev);
         signed ^ self.mask_for(prev)
     }
 
@@ -158,7 +162,7 @@ impl AuthenticatedCallStack {
         }
         let prev = frame.stored_chain;
         let lr = self.cr ^ self.mask_for(prev);
-        match self.pa.aut(&self.keys, self.config.key(), lr, prev) {
+        match self.pa.aut(&self.keys, KEY, lr, prev) {
             Ok(ret) => {
                 self.cr = prev;
                 Ok(ret)
@@ -178,9 +182,8 @@ impl AuthenticatedCallStack {
     /// `setjmp` (paper Listing 4): binds the setjmp return site and stack
     /// pointer to the current chain head.
     pub fn setjmp(&self, ret: u64, sp: u64) -> JmpBuf {
-        let key = self.config.key();
         let bound =
-            self.pa.pac(&self.keys, key, ret, self.cr) ^ self.pa.pac(&self.keys, key, sp, self.cr);
+            self.pa.pac(&self.keys, KEY, ret, self.cr) ^ self.pa.pac(&self.keys, KEY, sp, self.cr);
         JmpBuf {
             bound_ret: bound,
             sp,
@@ -205,9 +208,8 @@ impl AuthenticatedCallStack {
         if telemetry::enabled() {
             telemetry::counter("acs_longjmps_total", 1);
         }
-        let key = self.config.key();
-        let lr = buf.bound_ret ^ self.pa.pac(&self.keys, key, buf.sp, buf.chain);
-        match self.pa.aut(&self.keys, key, lr, buf.chain) {
+        let lr = buf.bound_ret ^ self.pa.pac(&self.keys, KEY, buf.sp, buf.chain);
+        match self.pa.aut(&self.keys, KEY, lr, buf.chain) {
             Ok(ret) => {
                 self.cr = buf.chain;
                 self.frames.truncate(buf.depth);
@@ -285,7 +287,7 @@ impl AuthenticatedCallStack {
         for (depth, frame) in self.frames.iter().enumerate().rev() {
             let prev = frame.stored_chain;
             let lr = cr ^ self.mask_for(prev);
-            match self.pa.aut(&self.keys, self.config.key(), lr, prev) {
+            match self.pa.aut(&self.keys, KEY, lr, prev) {
                 Ok(ret) => {
                     rets.push(ret);
                     cr = prev;

@@ -360,40 +360,44 @@ pub struct AttackMatrixRow {
 }
 
 /// Runs the qualitative attacks (ROP, reuse, signing gadget) against every
-/// scheme — the reproduction of §2, §6.1 and §6.3.1.
+/// scheme — the reproduction of §2, §6.1 and §6.3.1. All (attack, scheme)
+/// cells run in one sweep.
 pub fn attack_matrix() -> Vec<AttackMatrixRow> {
-    let lr_overwrite = exec::parallel_map(&Scheme::ALL, |_, &s| {
-        (s, rop::run_attack(s, rop::WriteTarget::SavedReturnAddress))
-    });
-    let linear = exec::parallel_map(&Scheme::ALL, |_, &s| {
-        (s, rop::run_attack(s, rop::WriteTarget::LinearOverflow))
-    });
-    let reuse_same =
-        exec::parallel_map(&Scheme::ALL, |_, &s| (s, reuse::run_reuse(s, true).outcome));
-    let tail_gadget = exec::parallel_map(&[Scheme::PacStackNomask, Scheme::PacStack], |_, &s| {
-        (s, gadget::tail_call_gadget_attack(s))
-    });
-    exec::stats::record("attack matrix", lr_overwrite.stats);
-    let (lr_overwrite, linear) = (lr_overwrite.results, linear.results);
-    let (reuse_same, tail_gadget) = (reuse_same.results, tail_gadget.results);
-    vec![
-        AttackMatrixRow {
-            attack: "return-address overwrite",
-            outcomes: lr_overwrite,
-        },
-        AttackMatrixRow {
-            attack: "linear stack overflow",
-            outcomes: linear,
-        },
-        AttackMatrixRow {
-            attack: "signed-pointer reuse (same SP)",
-            outcomes: reuse_same,
-        },
-        AttackMatrixRow {
-            attack: "tail-call signing gadget",
-            outcomes: tail_gadget,
-        },
-    ]
+    type Attack = fn(Scheme) -> rop::AttackOutcome;
+    let attacks: [(&'static str, &[Scheme], Attack); 4] = [
+        ("return-address overwrite", &Scheme::ALL, |s| {
+            rop::run_attack(s, rop::WriteTarget::SavedReturnAddress)
+        }),
+        ("linear stack overflow", &Scheme::ALL, |s| {
+            rop::run_attack(s, rop::WriteTarget::LinearOverflow)
+        }),
+        ("signed-pointer reuse (same SP)", &Scheme::ALL, |s| {
+            reuse::run_reuse(s, true).outcome
+        }),
+        (
+            "tail-call signing gadget",
+            &[Scheme::PacStackNomask, Scheme::PacStack],
+            gadget::tail_call_gadget_attack,
+        ),
+    ];
+    let cells: Vec<(usize, Scheme)> = attacks
+        .iter()
+        .enumerate()
+        .flat_map(|(a, (_, schemes, _))| schemes.iter().map(move |&s| (a, s)))
+        .collect();
+    let swept = exec::parallel_map(&cells, |_, &(a, s)| (attacks[a].2)(s));
+    exec::stats::record("attack matrix", swept.stats);
+    let mut rows: Vec<AttackMatrixRow> = attacks
+        .iter()
+        .map(|&(attack, _, _)| AttackMatrixRow {
+            attack,
+            outcomes: Vec::new(),
+        })
+        .collect();
+    for (&(a, s), outcome) in cells.iter().zip(swept.results) {
+        rows[a].outcomes.push((s, outcome));
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ use pacstack_qarma::{Key128, Qarma64};
 use pacstack_telemetry as telemetry;
 use rand::Rng;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Selects one of the five architectural PA keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,7 +36,8 @@ impl PaKey {
         matches!(self, PaKey::Ia | PaKey::Ib)
     }
 
-    fn index(self) -> usize {
+    /// The key's register index, 0..=4 in [`PaKey::ALL`] order.
+    pub fn index(self) -> usize {
         match self {
             PaKey::Ia => 0,
             PaKey::Ib => 1,
@@ -63,6 +63,17 @@ impl fmt::Display for PaKey {
 
 /// One process's set of five 128-bit PA keys.
 ///
+/// Each key register is held once, as a fully scheduled QARMA7-64-σ1
+/// instance; [`PaKeys::key`] reads the register value back from it. Every
+/// key write rebuilds that register's cipher, so `pac*`/`aut*`/`pacga`
+/// never re-derive a key schedule on the hot path. A corrupted key rebuilds
+/// through the same route: a glitched register yields a real (wrong)
+/// cipher, which is what keeps `Fault::KeyFault` attribution downstream.
+///
+/// Equality and hashing are over the five keys alone (see [`Qarma64`]'s
+/// own `PartialEq`/`Hash`). Nothing here tracks key writes: a CPU that
+/// memoises PACs invalidates its memo on its own key epoch.
+///
 /// # Examples
 ///
 /// ```
@@ -74,35 +85,9 @@ impl fmt::Display for PaKey {
 /// let child = keys.clone();
 /// assert_eq!(child.key(PaKey::Ia), keys.key(PaKey::Ia));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PaKeys {
-    keys: [Key128; 5],
-    /// One fully scheduled QARMA7-64-σ1 instance per key register, rebuilt
-    /// eagerly on every key write so `pac*`/`aut*`/`pacga` never re-derive a
-    /// key schedule on the hot path. Corrupted keys rebuild through the same
-    /// route — a glitched register yields a real (wrong) cipher, which is
-    /// what preserves `Fault::KeyFault` attribution downstream.
     ciphers: [Qarma64; 5],
-    /// Bumped on every key write; PAC memo caches key their entries on this
-    /// so stale MACs can never survive a re-key or a key-corruption fault.
-    generation: u64,
-}
-
-// Identity is the architectural register contents alone: the ciphers are a
-// pure function of the keys, and the generation counter is cache-coherency
-// metadata, not key material.
-impl PartialEq for PaKeys {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys
-    }
-}
-
-impl Eq for PaKeys {}
-
-impl Hash for PaKeys {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.keys.hash(state);
-    }
 }
 
 impl PaKeys {
@@ -119,8 +104,6 @@ impl PaKeys {
         }
         Self {
             ciphers: keys.map(Qarma64::recommended),
-            keys,
-            generation: 0,
         }
     }
 
@@ -134,33 +117,22 @@ impl PaKeys {
 
     /// Returns the 128-bit value of one key register.
     pub fn key(&self, key: PaKey) -> Key128 {
-        self.keys[key.index()]
+        self.ciphers[key.index()].key()
     }
 
     /// Replaces one key register (kernel-only operation in the model),
-    /// rebuilding its scheduled cipher and bumping the generation counter.
+    /// rebuilding its scheduled cipher.
     pub fn set_key(&mut self, key: PaKey, value: Key128) {
         if telemetry::enabled() {
             telemetry::counter("pauth_key_writes_total", 1);
             telemetry::counter("pauth_cipher_rebuilds_total", 1);
         }
-        self.keys[key.index()] = value;
         self.ciphers[key.index()] = Qarma64::recommended(value);
-        self.generation = self.generation.wrapping_add(1);
     }
 
-    /// The scheduled cipher for one key register — always coherent with
-    /// [`PaKeys::key`], because every key write rebuilds it.
+    /// The scheduled cipher for one key register.
     pub fn cipher(&self, key: PaKey) -> &Qarma64 {
         &self.ciphers[key.index()]
-    }
-
-    /// Monotonic count of key writes to this register file. Two values from
-    /// the *same* `PaKeys` differ iff a key was written in between; caches
-    /// combining it with their own instance tracking get precise
-    /// invalidation.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -207,21 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn generation_counts_key_writes() {
-        let mut keys = PaKeys::from_seed(3);
-        let g0 = keys.generation();
-        keys.set_key(PaKey::Ia, Key128::new(1, 2));
-        assert_ne!(keys.generation(), g0);
-        let g1 = keys.generation();
-        keys.set_key(PaKey::Ia, Key128::new(1, 2)); // same value still bumps
-        assert_ne!(keys.generation(), g1);
-    }
-
-    #[test]
     fn equality_ignores_generation_metadata() {
         let mut a = PaKeys::from_seed(5);
         let b = PaKeys::from_seed(5);
-        // Rewrite an identical value: generation moves, identity must not.
+        // Rewriting an identical value rebuilds the cipher; identity holds.
         let ia = a.key(PaKey::Ia);
         a.set_key(PaKey::Ia, ia);
         assert_eq!(a, b);

@@ -1,19 +1,22 @@
 //! The QARMA-64 cipher proper: whitened forward rounds, a central reflector,
 //! and backward rounds, all parameterised by S-box choice and round count.
 //!
-//! [`Qarma64::encrypt`]/[`Qarma64::decrypt`] run the packed-nibble fast path
-//! over a key schedule precomputed in [`Qarma64::with_key`]; the original
-//! cell-based data path survives as [`Qarma64::encrypt_reference`]/
-//! [`Qarma64::decrypt_reference`] (see the [`crate::reference`] module) and
-//! the two are pinned against each other by a differential proptest suite.
+//! [`Qarma64::encrypt`] runs the packed-nibble fast path over the one
+//! encryption key schedule precomputed in [`Qarma64::with_key`]. The
+//! original cell-based data path survives as [`reference::encrypt`] and
+//! [`reference::decrypt`] (the crate's only decryption), and the two paths
+//! are pinned against each other by a differential proptest suite.
+//!
+//! [`reference::encrypt`]: crate::reference::encrypt
+//! [`reference::decrypt`]: crate::reference::decrypt
 
 use crate::constants::{SIGMA0, SIGMA1, SIGMA2, SIGMA2_INV};
 use crate::packed::{
     mt, reflector, sub_bytes, tinv_m, tweak_fwd, SIGMA0_BYTES, SIGMA1_BYTES, SIGMA2_BYTES,
     SIGMA2_INV_BYTES,
 };
-use crate::schedule::{DirSchedule, Schedule};
-use crate::{reference, Key128};
+use crate::schedule::Schedule;
+use crate::Key128;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -78,9 +81,11 @@ impl fmt::Display for Sigma {
 
 /// A QARMA-64 instance: a 128-bit key, an S-box choice and `r` forward rounds.
 ///
-/// Construction precomputes the full two-direction key schedule (`w1`, the
-/// per-round tweakeys, the reflector keys), so `encrypt`/`decrypt` touch no
+/// Construction precomputes the encryption key schedule (`w1`, the
+/// per-round tweakeys, the reflector key), so `encrypt` touches no
 /// key-derivation code — build an instance once per key and reuse it.
+/// Decryption is not precomputed: nothing on the PA path decrypts, and
+/// [`crate::reference::decrypt`] inverts `encrypt` when a test needs it.
 ///
 /// The paper's recommended parameterisations are `r = 5` with σ0, `r = 7`
 /// with σ1, and `r = 11` with σ2. [`Qarma64::recommended`] builds the σ1/r=7
@@ -89,11 +94,12 @@ impl fmt::Display for Sigma {
 /// # Examples
 ///
 /// ```
-/// use pacstack_qarma::{Key128, Qarma64, Sigma};
+/// use pacstack_qarma::{reference, Key128, Qarma64, Sigma};
 ///
-/// let cipher = Qarma64::with_key(Key128::new(0x1234, 0x5678), Sigma::Sigma1, 7);
+/// let key = Key128::new(0x1234, 0x5678);
+/// let cipher = Qarma64::with_key(key, Sigma::Sigma1, 7);
 /// let c = cipher.encrypt(0xdead_beef, 42);
-/// assert_eq!(cipher.decrypt(c, 42), 0xdead_beef);
+/// assert_eq!(reference::decrypt(key, Sigma::Sigma1, 7, c, 42), 0xdead_beef);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Qarma64 {
@@ -134,7 +140,7 @@ impl Qarma64 {
     }
 
     /// Creates a cipher from a [`Key128`], an S-box and a round count,
-    /// precomputing the key schedule for both directions.
+    /// precomputing its encryption key schedule.
     ///
     /// # Panics
     ///
@@ -172,12 +178,13 @@ impl Qarma64 {
         self.rounds
     }
 
-    /// The shared packed data path: whitened forward rounds, central
-    /// reflector, backward rounds, over one direction's precomputed
-    /// schedule. The tweak sequence is computed once on the way forward and
-    /// reused on the way back (the backward rounds consume the same values
-    /// in reverse), and no `[u8; 16]` cell array is ever materialised.
-    fn crypt_packed(&self, block: u64, tweak: u64, ks: &DirSchedule) -> u64 {
+    /// The packed encryption data path: whitened forward rounds, central
+    /// reflector, backward rounds, over the precomputed schedule. The tweak
+    /// sequence is computed once on the way forward and reused on the way
+    /// back (the backward rounds consume the same values in reverse), and no
+    /// `[u8; 16]` cell array is ever materialised.
+    fn crypt_packed(&self, block: u64, tweak: u64) -> u64 {
+        let ks = &self.schedule;
         let sb = self.sigma.byte_table();
         let sb_inv = self.sigma.inverse_byte_table();
         let r = self.rounds;
@@ -226,52 +233,16 @@ impl Qarma64 {
     pub fn encrypt(&self, plaintext: u64, tweak: u64) -> u64 {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::available() {
-            return crate::simd::crypt(
-                plaintext,
-                tweak,
-                &self.schedule.enc,
-                self.sigma,
-                self.rounds,
-            );
+            return crate::simd::crypt(plaintext, tweak, &self.schedule, self.sigma, self.rounds);
         }
-        self.crypt_packed(plaintext, tweak, &self.schedule.enc)
-    }
-
-    /// Decrypts one 64-bit block under the given 64-bit tweak.
-    ///
-    /// QARMA's reflector structure makes decryption the same circuit as
-    /// encryption under a transformed key schedule: the whitening keys swap
-    /// roles, α is folded into the core key, and the reflector key is reused.
-    pub fn decrypt(&self, ciphertext: u64, tweak: u64) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::available() {
-            return crate::simd::crypt(
-                ciphertext,
-                tweak,
-                &self.schedule.dec,
-                self.sigma,
-                self.rounds,
-            );
-        }
-        self.crypt_packed(ciphertext, tweak, &self.schedule.dec)
-    }
-
-    /// Encrypts through the cell-based reference path (the differential
-    /// oracle; see [`crate::reference`]).
-    pub fn encrypt_reference(&self, plaintext: u64, tweak: u64) -> u64 {
-        reference::encrypt(self.key, self.sigma, self.rounds, plaintext, tweak)
-    }
-
-    /// Decrypts through the cell-based reference path (the differential
-    /// oracle; see [`crate::reference`]).
-    pub fn decrypt_reference(&self, ciphertext: u64, tweak: u64) -> u64 {
-        reference::decrypt(self.key, self.sigma, self.rounds, ciphertext, tweak)
+        self.crypt_packed(plaintext, tweak)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     const W0: u64 = 0x84be85ce9804e94b;
     const K0: u64 = 0xec2802d4e0a488e9;
@@ -301,7 +272,10 @@ mod tests {
         let cipher = Qarma64::new(W0, K0, Sigma::Sigma2, 7);
         let c = cipher.encrypt(PLAINTEXT, TWEAK);
         assert_eq!(c, 0x5c06a7501b63b2fd);
-        assert_eq!(cipher.decrypt(c, TWEAK), PLAINTEXT);
+        assert_eq!(
+            reference::decrypt(cipher.key(), Sigma::Sigma2, 7, c, TWEAK),
+            PLAINTEXT
+        );
     }
 
     #[test]
@@ -311,7 +285,7 @@ mod tests {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
                 let c = cipher.encrypt(PLAINTEXT, TWEAK);
                 assert_eq!(
-                    cipher.decrypt(c, TWEAK),
+                    reference::decrypt(cipher.key(), sigma, rounds, c, TWEAK),
                     PLAINTEXT,
                     "round-trip failed for {sigma} r={rounds}"
                 );
@@ -324,16 +298,10 @@ mod tests {
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
-                let c = cipher.encrypt(PLAINTEXT, TWEAK);
                 assert_eq!(
-                    c,
-                    cipher.encrypt_reference(PLAINTEXT, TWEAK),
+                    cipher.encrypt(PLAINTEXT, TWEAK),
+                    reference::encrypt(cipher.key(), sigma, rounds, PLAINTEXT, TWEAK),
                     "encrypt diverged for {sigma} r={rounds}"
-                );
-                assert_eq!(
-                    cipher.decrypt(c, TWEAK),
-                    cipher.decrypt_reference(c, TWEAK),
-                    "decrypt diverged for {sigma} r={rounds}"
                 );
             }
         }
@@ -351,14 +319,9 @@ mod tests {
                     let p = PLAINTEXT.wrapping_mul(i | 1);
                     let t = TWEAK.wrapping_add(i);
                     assert_eq!(
-                        cipher.crypt_packed(p, t, &cipher.schedule.enc),
+                        cipher.crypt_packed(p, t),
                         cipher.encrypt(p, t),
-                        "enc SWAR diverged for {sigma} r={rounds} i={i}"
-                    );
-                    assert_eq!(
-                        cipher.crypt_packed(p, t, &cipher.schedule.dec),
-                        cipher.decrypt(p, t),
-                        "dec SWAR diverged for {sigma} r={rounds} i={i}"
+                        "SWAR diverged for {sigma} r={rounds} i={i}"
                     );
                 }
             }

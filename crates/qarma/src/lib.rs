@@ -12,16 +12,23 @@
 //! rounds `r`, and is validated against the test vectors published in the
 //! QARMA paper.
 //!
+//! A PAC is a truncated encryption, so [`Qarma64`] precomputes one key
+//! schedule per key, for encryption, and runs it on the fast path.
+//! Decryption is never on the PA path: it lives only in the cell-based
+//! [`reference`] module, next to the oracle the fast path is pinned against.
+//!
 //! # Examples
 //!
 //! ```
-//! use pacstack_qarma::{Qarma64, Sigma};
+//! use pacstack_qarma::{reference, Key128, Qarma64, Sigma};
 //!
 //! // Key, tweak and plaintext from the QARMA paper's published test vector.
-//! let cipher = Qarma64::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9, Sigma::Sigma0, 5);
+//! let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
+//! let cipher = Qarma64::with_key(key, Sigma::Sigma0, 5);
 //! let ciphertext = cipher.encrypt(0xfb623599da6e8127, 0x477d469dec0b8762);
 //! assert_eq!(ciphertext, 0x3ee99a6c82af0c38);
-//! assert_eq!(cipher.decrypt(ciphertext, 0x477d469dec0b8762), 0xfb623599da6e8127);
+//! let plaintext = reference::decrypt(key, Sigma::Sigma0, 5, ciphertext, 0x477d469dec0b8762);
+//! assert_eq!(plaintext, 0xfb623599da6e8127);
 //! ```
 
 // `unsafe` is denied crate-wide and allowed in exactly one place: the

@@ -7,6 +7,9 @@
 //! on every call, exactly as the pre-optimisation implementation did. It is
 //! kept as the ground truth for `tests/packed_differential.rs`, the
 //! in-crate proptests and `PointerAuth::compute_pac_reference`.
+//!
+//! [`decrypt`] is the crate's only decryption: the fast path precomputes
+//! the encryption schedule alone, because a PAC never needs decrypting.
 
 use crate::cells::{from_cells, mix_columns, permute, sub_cells, Cells};
 use crate::constants::{ALPHA, ROUND_CONSTANTS, TAU, TAU_INV};

@@ -1,11 +1,13 @@
-//! Precomputed QARMA-64 key schedules.
+//! The precomputed QARMA-64 encryption key schedule.
 //!
 //! The reference data path re-derives `w1`, the per-round tweakeys and the
 //! reflector key on every call. All of that material is a pure function of
 //! the 128-bit key, so [`Schedule::new`] derives it once when the cipher is
-//! built and the hot path only XORs precomputed words.
+//! built and the hot path only XORs precomputed words. There is one
+//! schedule per key, for encryption; decryption is not precomputed (see
+//! [`crate::reference`]).
 
-use crate::cells::{from_cells, mix_columns, permute, to_cells};
+use crate::cells::{from_cells, permute, to_cells};
 use crate::constants::{ALPHA, ROUND_CONSTANTS, TAU_INV};
 use crate::Key128;
 
@@ -25,51 +27,56 @@ pub(crate) fn spread_cells(x: u64) -> Spread {
     halves
 }
 
-/// Key material for one direction of the shared data path.
+/// The precomputed QARMA-64 encryption key schedule, derived once per key
+/// in `Qarma64::with_key`.
 ///
-/// QARMA's reflector structure makes decryption the same circuit as
-/// encryption under a transformed key schedule, so one `DirSchedule` fully
-/// describes either direction.
+/// Only the encryption direction is scheduled: a PAC is a truncated
+/// encryption, and nothing on the PA path decrypts. Decryption lives in
+/// [`crate::reference::decrypt`], which derives its own schedule per call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct DirSchedule {
-    /// Whitening XORed into the input block (`w0` when encrypting).
+pub(crate) struct Schedule {
+    /// Whitening `w0`, XORed into the input block.
     pub w_in: u64,
-    /// Whitening XORed into the output block (`w1` when encrypting); also
-    /// the tweakey core of the extra forward round before the reflector.
+    /// Whitening `w1`, XORed into the output block; also the tweakey core
+    /// of the extra forward round before the reflector.
     pub w_out: u64,
-    /// Forward-round tweakeys `k ⊕ c_i` (tweak added per call).
+    /// Forward-round tweakeys `k0 ⊕ c_i` (tweak added per call).
     pub fwd_key: [u64; 8],
-    /// Backward-round tweakeys `k ⊕ c_i ⊕ α`.
+    /// Backward-round tweakeys `k0 ⊕ c_i ⊕ α`.
     pub bwd_key: [u64; 8],
-    /// The reflector key, pre-permuted by τ⁻¹ and packed, so the reflector
-    /// centre collapses to one table application and one XOR.
+    /// The reflector key `k0`, pre-permuted by τ⁻¹ and packed, so the
+    /// reflector centre collapses to one table application and one XOR.
     pub reflect_key: u64,
-    /// [`DirSchedule::w_in`] in the SIMD lane layout.
+    /// [`Schedule::w_in`] in the SIMD lane layout.
     #[cfg(target_arch = "x86_64")]
     pub w_in_spread: Spread,
-    /// [`DirSchedule::w_out`] in the SIMD lane layout.
+    /// [`Schedule::w_out`] in the SIMD lane layout.
     #[cfg(target_arch = "x86_64")]
     pub w_out_spread: Spread,
-    /// [`DirSchedule::fwd_key`] in the SIMD lane layout.
+    /// [`Schedule::fwd_key`] in the SIMD lane layout.
     #[cfg(target_arch = "x86_64")]
     pub fwd_key_spread: [Spread; 8],
-    /// [`DirSchedule::bwd_key`] in the SIMD lane layout.
+    /// [`Schedule::bwd_key`] in the SIMD lane layout.
     #[cfg(target_arch = "x86_64")]
     pub bwd_key_spread: [Spread; 8],
-    /// [`DirSchedule::reflect_key`] in the SIMD lane layout.
+    /// [`Schedule::reflect_key`] in the SIMD lane layout.
     #[cfg(target_arch = "x86_64")]
     pub reflect_key_spread: Spread,
 }
 
-impl DirSchedule {
-    fn new(w_in: u64, w_out: u64, k: u64, k1: u64) -> Self {
+impl Schedule {
+    /// Derives the encryption schedule from a 128-bit key.
+    pub fn new(key: Key128) -> Self {
+        let w_in = key.w0();
+        let w_out = w_in.rotate_right(1) ^ (w_in >> 63);
+        let k0 = key.k0();
         let mut fwd_key = [0u64; 8];
         let mut bwd_key = [0u64; 8];
         for (i, c) in ROUND_CONSTANTS.iter().enumerate() {
-            fwd_key[i] = k ^ c;
-            bwd_key[i] = k ^ c ^ ALPHA;
+            fwd_key[i] = k0 ^ c;
+            bwd_key[i] = k0 ^ c ^ ALPHA;
         }
-        let reflect_key = from_cells(&permute(&to_cells(k1), &TAU_INV));
+        let reflect_key = from_cells(&permute(&to_cells(k0), &TAU_INV));
         Self {
             w_in,
             w_out,
@@ -86,30 +93,6 @@ impl DirSchedule {
             bwd_key_spread: bwd_key.map(spread_cells),
             #[cfg(target_arch = "x86_64")]
             reflect_key_spread: spread_cells(reflect_key),
-        }
-    }
-}
-
-/// Both directions' schedules, derived once per key in `Qarma64::with_key`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Schedule {
-    /// Encryption-direction key material.
-    pub enc: DirSchedule,
-    /// Decryption-direction key material: whitening keys swapped, α folded
-    /// into the core key, reflector keyed with `Q·k0`.
-    pub dec: DirSchedule,
-}
-
-impl Schedule {
-    /// Derives the full two-direction schedule from a 128-bit key.
-    pub fn new(key: Key128) -> Self {
-        let w0 = key.w0();
-        let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-        let k0 = key.k0();
-        let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
-        Self {
-            enc: DirSchedule::new(w0, w1, k0, k0),
-            dec: DirSchedule::new(w1, w0, k0 ^ ALPHA, q_k0),
         }
     }
 }
@@ -134,10 +117,8 @@ mod tests {
         let s = Schedule::new(key);
         let w0 = key.w0();
         let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-        assert_eq!(s.enc.w_in, w0);
-        assert_eq!(s.enc.w_out, w1);
-        assert_eq!(s.dec.w_in, w1);
-        assert_eq!(s.dec.w_out, w0);
+        assert_eq!(s.w_in, w0);
+        assert_eq!(s.w_out, w1);
     }
 
     #[test]
@@ -145,10 +126,8 @@ mod tests {
         let key = Key128::new(7, 9);
         let s = Schedule::new(key);
         for (i, c) in ROUND_CONSTANTS.iter().enumerate() {
-            assert_eq!(s.enc.fwd_key[i], key.k0() ^ c);
-            assert_eq!(s.enc.bwd_key[i], key.k0() ^ c ^ ALPHA);
-            assert_eq!(s.dec.fwd_key[i], key.k0() ^ ALPHA ^ c);
-            assert_eq!(s.dec.bwd_key[i], key.k0() ^ c);
+            assert_eq!(s.fwd_key[i], key.k0() ^ c);
+            assert_eq!(s.bwd_key[i], key.k0() ^ c ^ ALPHA);
         }
     }
 }
